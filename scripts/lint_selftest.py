@@ -95,14 +95,6 @@ FIXTURES = {
             pool = set(values)
             return sum(pool)
         """),
-    "SIM013": ("src/repro/fix_compile.py", """
-        class Cache:
-            def __init__(self):
-                self.lines = {}
-
-            def warm(self):
-                self.ready = True
-        """),
 }
 
 

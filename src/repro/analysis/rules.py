@@ -19,7 +19,7 @@ SIM008    port-bypass              hierarchy components schedule via Port,
                                    not the engine
 ========  =======================  =============================================
 
-The whole-program passes SIM009-SIM013 (call-graph + dataflow based)
+The whole-program passes SIM009-SIM012 (call-graph + dataflow based)
 live in :mod:`repro.analysis.wholeprogram` and are registered into the
 same catalogue below.
 """
@@ -462,9 +462,9 @@ class PortBypassRule(Rule):
 
 
 from repro.analysis.wholeprogram import (  # noqa: E402
-    WHOLE_PROGRAM_RULES, CompilationReadinessRule,
-    EntropyInSimStateRule, NondeterministicIterationRule,
-    RngOutsideTraceRule, UnorderedReductionRule)
+    WHOLE_PROGRAM_RULES, EntropyInSimStateRule,
+    NondeterministicIterationRule, RngOutsideTraceRule,
+    UnorderedReductionRule)
 
 #: The default rule set, in catalogue order.
 ALL_RULES: List[Rule] = [
@@ -485,8 +485,7 @@ __all__ = [
     "UnregisteredCounterRule", "BareAssertRule", "WallClockRule",
     "PortBypassRule", "NondeterministicIterationRule",
     "RngOutsideTraceRule", "EntropyInSimStateRule",
-    "UnorderedReductionRule", "CompilationReadinessRule",
-    "ALL_RULES", "default_rules",
+    "UnorderedReductionRule", "ALL_RULES", "default_rules",
 ]
 
 

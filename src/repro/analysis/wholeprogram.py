@@ -1,4 +1,4 @@
-"""Whole-program determinism and compilation-readiness passes.
+"""Whole-program determinism passes.
 
 SIM001-SIM008 judge constructs file-locally; the passes here combine
 the project :mod:`call graph <repro.analysis.callgraph>` with the
@@ -18,8 +18,6 @@ SIM011    entropy-in-sim-state      no wall-clock/``id()``/``hash()``
                                     values influencing sim state
 SIM012    unordered-reduction       no ``sum()``-style reductions over
                                     unordered collections
-SIM013    compile-readiness         hot-set modules stay free of the
-                                    dynamic tricks that block mypyc
 ========  ========================  ====================================
 
 The first three are *gated* on call-graph reachability: the construct
@@ -32,20 +30,12 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.callgraph import function_ref
 from repro.analysis.dataflow import (TaintAnalysis, TaintResult, TaintSpec,
                                      walk_excluding_nested)
 from repro.analysis.framework import LintContext, Rule, Violation
-
-#: Modules that must stay compilable by a mypyc/Cython backend
-#: (ROADMAP: the vectorized/compiled fast path for the 64-core config).
-COMPILE_HOT_SET = (
-    "src/repro/sim/engine.py",
-    "src/repro/cache/",
-    "src/repro/sim/hierarchy/",
-)
 
 #: Path fragment marking the sanctioned home of randomness.
 _TRACE_PATH_RE = re.compile(r"(^|/)trace/")
@@ -454,248 +444,10 @@ class UnorderedReductionRule(Rule):
                     f"container) for reproducible results")
 
 
-class CompilationReadinessRule(Rule):
-    """SIM013: the declared hot set stays statically compilable.
-
-    The ROADMAP's compiled fast path (mypyc/Cython over
-    ``repro.sim.engine``, ``repro.cache``, ``repro.sim.hierarchy``)
-    requires classes with a fixed attribute layout: no ``setattr``/
-    ``delattr``/``vars(obj)``, no ``__dict__`` access, no ``import *``,
-    no attributes materialised outside ``__init__``, and no writes
-    outside a declared ``__slots__``.  This pass flags those blockers
-    everywhere (dynamic attribute tricks are a maintenance hazard
-    generally) but only hot-set findings are fix-on-sight; elsewhere
-    they may be baselined with a justification comment.
-    """
-
-    id = "SIM013"
-    name = "compile-readiness"
-    summary = "dynamic attribute trick that blocks the compiled backend"
-
-    _INIT_LIKE = ("__init__", "__post_init__", "__new__")
-
-    def __init__(self) -> None:
-        #: ``id(project)`` of the last-indexed :class:`ProjectIndex`;
-        #: the class-declaration index below is rebuilt when it changes.
-        self._indexed_project: Optional[int] = None
-        #: Simple class name -> attributes it declares itself (class
-        #: body, ``__slots__``, init-like self stores), project-wide.
-        self._class_declared: Dict[str, Set[str]] = {}
-        #: Simple class name -> simple names of its bases, project-wide.
-        self._class_bases: Dict[str, Set[str]] = {}
-
-    def prepare(self, ctx: LintContext) -> None:
-        project = ctx.project
-        if self._indexed_project == id(project):
-            return
-        self._indexed_project = id(project)
-        self._class_declared = {}
-        self._class_bases = {}
-        for _path, tree in project.modules:
-            for sub in ast.walk(tree):
-                if not isinstance(sub, ast.ClassDef):
-                    continue
-                declared, _slots = self._own_declarations(sub)
-                self._class_declared.setdefault(
-                    sub.name, set()).update(declared)
-                bases = self._class_bases.setdefault(sub.name, set())
-                for base in sub.bases:
-                    if isinstance(base, ast.Name):
-                        bases.add(base.id)
-                    elif isinstance(base, ast.Attribute):
-                        bases.add(base.attr)
-
-    def _inherited_declared(self, node: ast.ClassDef) -> Set[str]:
-        """Attributes declared anywhere up the (simple-name) base chain.
-
-        Resolution is by simple class name, so same-named classes merge
-        -- an over-approximation that can only hide findings, never
-        invent them, matching the rule's lint-grade precision budget.
-        """
-        declared: Set[str] = set()
-        seen: Set[str] = set()
-        pending = [base for base in self._class_bases.get(node.name, ())]
-        while pending:
-            name = pending.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            declared |= self._class_declared.get(name, set())
-            pending.extend(self._class_bases.get(name, ()))
-        return declared
-
-    def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Violation]:
-        where = (" in the declared compile hot set"
-                 if self.in_hot_set(ctx.path) else "")
-        if isinstance(node, ast.ImportFrom):
-            if any(alias.name == "*" for alias in node.names):
-                yield self.violation(
-                    ctx, node,
-                    f"star import{where} defeats static attribute "
-                    f"resolution; import names explicitly")
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id in ("setattr", "delattr"):
-                    yield self.violation(
-                        ctx, node,
-                        f"{func.id}(...){where} mutates attribute "
-                        f"layout dynamically; assign declared "
-                        f"attributes directly")
-                elif func.id == "vars" and node.args:
-                    yield self.violation(
-                        ctx, node,
-                        f"vars(obj){where} reads the instance "
-                        f"__dict__, which compiled classes do not "
-                        f"have; enumerate declared fields instead")
-        elif isinstance(node, ast.Attribute):
-            if node.attr == "__dict__":
-                yield self.violation(
-                    ctx, node,
-                    f"__dict__ access{where}; compiled classes have "
-                    f"no per-instance dict -- use declared attributes "
-                    f"or dataclasses.fields()")
-        elif isinstance(node, ast.ClassDef):
-            yield from self._class_findings(node, ctx, where)
-
-    @staticmethod
-    def in_hot_set(path: str) -> bool:
-        return any(path.startswith(prefix) or path == prefix.rstrip("/")
-                   for prefix in COMPILE_HOT_SET)
-
-    @classmethod
-    def _own_declarations(
-            cls,
-            node: ast.ClassDef) -> Tuple[Set[str], Optional[Set[str]]]:
-        """(declared attributes, slots) from this class body alone."""
-        declared: Set[str] = set()
-        slots: Optional[Set[str]] = None
-        for item in node.body:
-            if (isinstance(item, ast.AnnAssign)
-                    and isinstance(item.target, ast.Name)):
-                declared.add(item.target.id)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if isinstance(target, ast.Name):
-                        declared.add(target.id)
-                        if target.id == "__slots__":
-                            slots = cls._slot_names(item.value)
-        if slots is not None:
-            declared |= slots
-        for item in node.body:
-            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name in cls._INIT_LIKE):
-                declared |= cls._self_stores(item)
-        return declared, slots
-
-    def _class_findings(self, node: ast.ClassDef, ctx: LintContext,
-                        where: str) -> Iterator[Violation]:
-        declared, slots = self._own_declarations(node)
-        declared |= self._inherited_declared(node)
-        methods = [item for item in node.body
-                   if isinstance(item, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))]
-        class_scope = ".".join(list(ctx.scope_stack) + [node.name])
-        for method in methods:
-            if method.name in self._INIT_LIKE:
-                if slots is not None:
-                    yield from self._slots_violations(
-                        method, slots, ctx, class_scope, where)
-                continue
-            self_name = self._self_name(method)
-            if self_name is None:
-                continue
-            for sub, attr in self._attr_stores(method, self_name):
-                if slots is not None and attr not in declared:
-                    message = (f"attribute {attr!r} assigned outside "
-                               f"__slots__{where}; add it to __slots__ "
-                               f"or drop the assignment")
-                elif attr not in declared:
-                    message = (f"attribute {attr!r} added outside "
-                               f"__init__{where}; declare it in "
-                               f"__init__ (or as a class annotation) "
-                               f"so the layout is static")
-                else:
-                    continue
-                yield _scoped_violation(
-                    self, ctx, sub, f"{class_scope}.{method.name}",
-                    message)
-
-    def _slots_violations(self, method: ast.FunctionDef,
-                          slots: Set[str], ctx: LintContext,
-                          class_scope: str,
-                          where: str) -> Iterator[Violation]:
-        self_name = self._self_name(method)
-        if self_name is None:
-            return
-        for sub, attr in self._attr_stores(method, self_name):
-            if attr not in slots:
-                yield _scoped_violation(
-                    self, ctx, sub, f"{class_scope}.{method.name}",
-                    f"attribute {attr!r} assigned outside "
-                    f"__slots__{where}; add it to __slots__ or drop "
-                    f"the assignment")
-
-    @staticmethod
-    def _slot_names(value: ast.expr) -> Set[str]:
-        """String constants in a ``__slots__`` assignment; unknown
-        constructs yield an empty set (treated as no-slots-match)."""
-        names: Set[str] = set()
-        if isinstance(value, ast.Constant) and isinstance(value.value,
-                                                          str):
-            names.add(value.value)
-        elif isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            for element in value.elts:
-                if (isinstance(element, ast.Constant)
-                        and isinstance(element.value, str)):
-                    names.add(element.value)
-        return names
-
-    @staticmethod
-    def _self_name(
-            method: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Optional[str]:
-        args = method.args.posonlyargs + method.args.args
-        if not args:
-            return None
-        if any(isinstance(d, ast.Name) and d.id == "staticmethod"
-               for d in method.decorator_list):
-            return None
-        return args[0].arg
-
-    @classmethod
-    def _self_stores(
-            cls,
-            method: ast.FunctionDef | ast.AsyncFunctionDef) -> Set[str]:
-        self_name = cls._self_name(method)
-        if self_name is None:
-            return set()
-        return {attr for _, attr in cls._attr_stores(method, self_name)}
-
-    @staticmethod
-    def _attr_stores(
-            method: ast.FunctionDef | ast.AsyncFunctionDef,
-            self_name: str) -> List[Tuple[ast.AST, str]]:
-        stores: List[Tuple[ast.AST, str]] = []
-        for sub in ast.walk(method):
-            if isinstance(sub, (ast.Assign, ast.AugAssign,
-                                ast.AnnAssign)):
-                targets = (sub.targets if isinstance(sub, ast.Assign)
-                           else [sub.target])
-                for target in targets:
-                    if (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == self_name
-                            and isinstance(target.ctx, ast.Store)):
-                        stores.append((sub, target.attr))
-        return stores
-
-
 #: Whole-program rules in catalogue order.
 WHOLE_PROGRAM_RULES: List[Rule] = [
     NondeterministicIterationRule(),
     RngOutsideTraceRule(),
     EntropyInSimStateRule(),
     UnorderedReductionRule(),
-    CompilationReadinessRule(),
 ]

@@ -16,31 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
-
-#: Simulation backends selectable through :attr:`SystemConfig.backend`.
-#: ``event`` is the pure-Python event/callback engine (the oracle);
-#: ``batch`` is the batch-stepped struct-of-arrays backend
-#: (:mod:`repro.sim.batch`), required to be bit-identical on
-#: ``SimulationResult.to_dict()``.
-BACKENDS = ("event", "batch")
-
-
-def resolve_backend(configured: str) -> str:
-    """The backend a run should use: ``REPRO_BACKEND`` wins over config.
-
-    The environment override lets sweeps, benchmarks, and CI select the
-    backend without editing configs; it is consulted once per system
-    construction.  Raises ``ValueError`` on unknown values either way.
-    """
-    name = os.environ.get("REPRO_BACKEND") or configured
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {name!r}: expected one of "
-            f"{', '.join(BACKENDS)} (set via SystemConfig.backend or the "
-            f"REPRO_BACKEND environment variable)")
-    return name
 
 
 @dataclass
@@ -332,7 +308,7 @@ class LearnedConfig:
 
     Learner state is explicit integers and the only randomness is the
     per-core xorshift stream derived from :attr:`seed`, so seeded runs
-    are bit-identical across repeats, process pools, and backends.
+    are bit-identical across repeats and process pools.
     """
 
     #: One of "none", "bandit", "perceptron".
@@ -403,10 +379,6 @@ class SystemConfig:
     sanitize: bool = False
     #: Instructions simulated per core with statistics on.
     sim_instructions: int = 20_000
-    #: Simulation backend: ``"event"`` (pure-Python event engine, the
-    #: oracle) or ``"batch"`` (batch-stepped struct-of-arrays fast path,
-    #: bit-identical results).  ``REPRO_BACKEND`` overrides at run time.
-    backend: str = "event"
 
     @property
     def mesh_dim(self) -> int:
@@ -443,10 +415,6 @@ class SystemConfig:
                     f"core {core_id}: per-core frequencies must match the "
                     f"base core ({override.frequency_ghz} != "
                     f"{self.core.frequency_ghz})")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown simulation backend {self.backend!r}: expected "
-                f"one of {', '.join(BACKENDS)}")
         learned = self.learned
         if learned.policy not in ("none", "bandit", "perceptron"):
             raise ValueError(

@@ -12,11 +12,20 @@ from typing import Sequence
 
 
 def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; the conventional average for speedup ratios."""
-    cleaned = [v for v in values if v > 0]
-    if not cleaned:
+    """Geometric mean; the conventional average for speedup ratios.
+
+    An empty sequence averages to 0.0.  A zero, negative or NaN value
+    raises ``ValueError``: it has no logarithm, and dropping it would
+    silently average over fewer points than the caller passed.
+    """
+    values = list(values)
+    for value in values:
+        if not value > 0:
+            raise ValueError(
+                f"geometric_mean needs positive values, got {value!r}")
+    if not values:
         return 0.0
-    return statistics.geometric_mean(cleaned)
+    return statistics.geometric_mean(values)
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:

@@ -21,12 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.invariants import check
 from repro.analysis.sanitizer import install_sanitizer, sanitize_enabled
-from repro.config import SystemConfig, resolve_backend
+from repro.config import SystemConfig
 from repro.cpu.branch import HashedPerceptronPredictor
 from repro.cpu.core_model import Core, ServiceLevel
 from repro.dram.controller import DramSystem
 from repro.noc.mesh import MeshNoc
-from repro.sim.batch import BatchCore, BatchEngine, trace_soa
 from repro.sim.engine import Engine
 from repro.sim.hierarchy import CoreNode, Hierarchy
 from repro.sim.tracing import RequestTrace
@@ -74,10 +73,7 @@ class MulticoreSystem:
         self.config = config
         self.workload_names = list(workloads)
         self.label = label or self._default_label()
-        #: Resolved at build time so REPRO_BACKEND is read exactly once
-        #: per simulation, not per component.
-        self.backend = resolve_backend(config.backend)
-        self.engine = BatchEngine() if self.backend == "batch" else Engine()
+        self.engine = Engine()
         self.noc = MeshNoc(config.mesh_dim, config.noc)
         self.dram = DramSystem(config.dram, self.engine,
                                config.l1d.line_size)
@@ -138,24 +134,13 @@ class MulticoreSystem:
     def _build_cores(self) -> None:
         config = self.config
         length = config.warmup_instructions + config.sim_instructions
-        batch = self.backend == "batch"
         for core_id, name in enumerate(self.workload_names):
             trace = _workload_trace(name, length, core_id)
-            core_config = config.core_for(core_id)
-            if batch:
-                core: Core = BatchCore(
-                    core_id, core_config, trace,
-                    trace_soa(trace, config.branch),
-                    memory=self.hierarchy, engine=self.engine,
-                    branch_predictor=HashedPerceptronPredictor(
-                        config.branch),
-                    warmup_instructions=config.warmup_instructions)
-            else:
-                core = Core(core_id, core_config, trace,
-                            memory=self.hierarchy, engine=self.engine,
-                            branch_predictor=HashedPerceptronPredictor(
-                                config.branch),
-                            warmup_instructions=config.warmup_instructions)
+            core = Core(core_id, config.core_for(core_id), trace,
+                        memory=self.hierarchy, engine=self.engine,
+                        branch_predictor=HashedPerceptronPredictor(
+                            config.branch),
+                        warmup_instructions=config.warmup_instructions)
             node = self.hierarchy.nodes[core_id]
             if node.clip is not None:
                 node.clip.attach(core)

@@ -607,7 +607,7 @@ class TestRepoGate:
         out = capsys.readouterr().out
         for rule_id in ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005",
                         "SIM006", "SIM007", "SIM008", "SIM009", "SIM010",
-                        "SIM011", "SIM012", "SIM013"):
+                        "SIM011", "SIM012"):
             assert rule_id in out
 
     def test_cli_lint_subcommand(self, capsys):
@@ -795,7 +795,7 @@ class TestSelftestScript:
              str(REPO_ROOT / "scripts" / "lint_selftest.py")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "self-test OK: all 13 rules fired" in proc.stdout
+        assert "self-test OK: all 12 rules fired" in proc.stdout
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the whole-program passes SIM009-SIM013.
+"""Tests for the whole-program passes SIM009-SIM012.
 
 Every rule gets (a) a seeded violation that must be reported at the
 right file/line/scope and (b) a near-miss clean fixture that a purely
@@ -11,9 +11,7 @@ from __future__ import annotations
 import textwrap
 
 from repro.analysis.framework import lint_source
-from repro.analysis.wholeprogram import (COMPILE_HOT_SET,
-                                         CompilationReadinessRule,
-                                         EntropyInSimStateRule,
+from repro.analysis.wholeprogram import (EntropyInSimStateRule,
                                          NondeterministicIterationRule,
                                          RngOutsideTraceRule,
                                          UnorderedReductionRule)
@@ -280,143 +278,3 @@ class TestUnorderedReduction:
                 return sum(list(values))
             """, UnorderedReductionRule())
         assert violations == []
-
-
-# ----------------------------------------------------------------------
-# SIM013 compile-readiness
-# ----------------------------------------------------------------------
-
-class TestCompilationReadiness:
-    def test_attribute_outside_init_fires(self):
-        violations = lint("""
-            class Cache:
-                def __init__(self):
-                    self.lines = {}
-
-                def warm(self):
-                    self.ready = True
-            """, CompilationReadinessRule())
-        assert [v.rule_id for v in violations] == ["SIM013"]
-        assert violations[0].line == 7
-        assert violations[0].scope == "Cache.warm"
-        assert "'ready'" in violations[0].message
-
-    def test_inherited_declaration_clean(self):
-        # Base.__init__ declares the attribute; mutating it in a
-        # subclass method is a layout-stable write, not a new slot.
-        violations = lint("""
-            class Base:
-                def __init__(self):
-                    self.level = 3
-
-            class Derived(Base):
-                def decide(self):
-                    self.level += 1
-            """, CompilationReadinessRule())
-        assert violations == []
-
-    def test_grandparent_declaration_clean(self):
-        violations = lint("""
-            class A:
-                def __init__(self):
-                    self.n = 0
-
-            class B(A):
-                pass
-
-            class C(B):
-                def bump(self):
-                    self.n += 1
-            """, CompilationReadinessRule())
-        assert violations == []
-
-    def test_class_annotation_declares(self):
-        violations = lint("""
-            class Entry:
-                valid: bool = False
-
-                def invalidate(self):
-                    self.valid = False
-            """, CompilationReadinessRule())
-        assert violations == []
-
-    def test_setattr_fires(self):
-        violations = lint("""
-            def patch(obj):
-                setattr(obj, "mode", 1)
-            """, CompilationReadinessRule())
-        assert len(violations) == 1
-        assert "setattr" in violations[0].message
-
-    def test_vars_of_object_fires(self):
-        violations = lint("""
-            def dump(obj):
-                return vars(obj)
-            """, CompilationReadinessRule())
-        assert len(violations) == 1
-
-    def test_bare_vars_clean(self):
-        violations = lint("""
-            def locals_snapshot():
-                return vars()
-            """, CompilationReadinessRule())
-        assert violations == []
-
-    def test_dunder_dict_access_fires(self):
-        violations = lint("""
-            def fields(obj):
-                return obj.__dict__.keys()
-            """, CompilationReadinessRule())
-        assert len(violations) == 1
-        assert "__dict__" in violations[0].message
-
-    def test_star_import_fires(self):
-        violations = lint("from os.path import *\n",
-                          CompilationReadinessRule())
-        assert len(violations) == 1
-        assert "star import" in violations[0].message
-
-    def test_slots_violation_fires(self):
-        violations = lint("""
-            class Line:
-                __slots__ = ("tag",)
-
-                def __init__(self):
-                    self.tag = 0
-
-                def touch(self):
-                    self.state = 1
-            """, CompilationReadinessRule())
-        assert len(violations) == 1
-        assert "__slots__" in violations[0].message
-        assert "'state'" in violations[0].message
-
-    def test_slots_respected_clean(self):
-        violations = lint("""
-            class Line:
-                __slots__ = ("tag", "state")
-
-                def __init__(self):
-                    self.tag = 0
-                    self.state = 0
-
-                def touch(self):
-                    self.state = 1
-            """, CompilationReadinessRule())
-        assert violations == []
-
-    def test_hot_set_findings_are_labelled(self):
-        violations = lint("""
-            def dump(obj):
-                return vars(obj)
-            """, CompilationReadinessRule(),
-            path="src/repro/sim/engine.py")
-        assert "compile hot set" in violations[0].message
-
-    def test_hot_set_membership(self):
-        rule = CompilationReadinessRule()
-        assert rule.in_hot_set("src/repro/sim/engine.py")
-        assert rule.in_hot_set("src/repro/cache/replacement.py")
-        assert rule.in_hot_set("src/repro/sim/hierarchy/port.py")
-        assert not rule.in_hot_set("src/repro/experiments/export.py")
-        assert COMPILE_HOT_SET  # the hot set is non-empty by contract

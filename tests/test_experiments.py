@@ -30,6 +30,13 @@ class TestReporting:
         assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
         assert geometric_mean([]) == 0.0
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_geometric_mean_rejects_non_positive(self, bad):
+        # A non-positive speedup is a bug upstream; averaging over the
+        # remaining points would hide it.
+        with pytest.raises(ValueError, match="positive"):
+            geometric_mean([2.0, bad, 8.0])
+
     def test_format_table_aligns(self):
         text = format_table(["a", "bb"], [[1, 2.5], ["xxx", 3]])
         lines = text.splitlines()

@@ -228,9 +228,9 @@ def test_learned_package_is_sim_lint_clean():
     """The whole ``repro.prefetch.learned`` package passes the simulator
     determinism lints with *zero* violations and *zero* baseline
     suppressions -- SIM009 (set iteration), SIM010 (random module),
-    SIM011 (hash()/id()/wall-clock), SIM012 (float reductions), SIM013
-    (setattr/vars) would each break the bit-identical-replay contract
-    the policies advertise."""
+    SIM011 (hash()/id()/wall-clock) and SIM012 (float reductions) would
+    each break the bit-identical-replay contract the policies
+    advertise."""
     from repro.analysis.lint import run_lint
 
     package = REPO / "src" / "repro" / "prefetch" / "learned"

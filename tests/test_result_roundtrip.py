@@ -57,6 +57,11 @@ _PINNED_KEYS = [
           mix=("605.mcf_s-1536B", "623.xalancbmk_s-10B"),
           channels=1, num_cores=2, sim_instructions=4000),
      "54345243856a0742bcdfe9971dda72584c3e8cec75f796d41c30ae2157ea47c1"),
+    # Captured while SystemConfig still had an engine-choice field that
+    # the key left out; removing the field must not move any key.
+    (dict(scheme="berti+clip+fvp", mix=("619.lbm_s-2676B", "bfs-14"),
+          channels=2, num_cores=2, sim_instructions=3000),
+     "4613438348861c4a62e7e01067fcbeb032ca462522d9f722646da66e81d903b0"),
 ]
 
 
