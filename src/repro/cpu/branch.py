@@ -10,13 +10,19 @@ The simulator is trace-driven (outcomes come from the trace), so the
 predictor's only architectural effect is whether a mispredict bubble is
 charged -- but its accuracy still shapes which loads become critical, which
 is exactly the dynamic the paper's ``hotcold`` loads exercise.
+
+Because the outcomes come from the trace and nothing about memory timing
+feeds back into the predictor, its whole hit/miss sequence is a function
+of (trace, config).  :func:`mispredict_column` replays it once per trace
+and the core model reads the result instead of predicting per dispatch.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.config import BranchPredictorConfig
+from repro.trace.record import Op, TraceRecord
 
 
 class HashedPerceptronPredictor:
@@ -113,3 +119,23 @@ class HashedPerceptronPredictor:
         if not self.predictions:
             return 1.0
         return 1.0 - self.mispredictions / self.predictions
+
+
+def mispredict_column(trace: Sequence[TraceRecord],
+                      config: BranchPredictorConfig) -> bytes:
+    """One byte per trace slot: 1 where a fresh predictor mispredicts.
+
+    Replays the trace's branches, in program order, through
+    :meth:`HashedPerceptronPredictor.predict_and_train` -- the sequence of
+    calls the core would make at dispatch -- so the column holds exactly
+    the outcomes an inline predictor would produce.  Non-branch slots
+    are 0.
+    """
+    predict_and_train = HashedPerceptronPredictor(config).predict_and_train
+    branch = Op.BRANCH
+    column = bytearray(len(trace))
+    for slot, record in enumerate(trace):
+        if record.op == branch and not predict_and_train(record.ip,
+                                                         record.taken):
+            column[slot] = 1
+    return bytes(column)

@@ -11,7 +11,9 @@ The model keeps the microarchitectural state the paper's mechanisms read:
   branches resolve late;
 * per-entry *miss-level* flags (paper section 4.1): the level of the memory
   hierarchy that serviced each load;
-* branch mispredict bubbles using the hashed perceptron predictor.
+* branch mispredict bubbles using the hashed perceptron predictor, whose
+  outcomes are replayed once per trace (:func:`mispredict_column`) and
+  read from that column at dispatch.
 
 Timing is driven by a cooperative engine: ``tick(cycle)`` performs retire
 and dispatch for one cycle and publishes ``next_wake`` so the engine can
@@ -25,8 +27,8 @@ from enum import IntEnum
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.config import CoreConfig
-from repro.cpu.branch import HashedPerceptronPredictor
+from repro.config import BranchPredictorConfig, CoreConfig
+from repro.cpu.branch import HashedPerceptronPredictor, mispredict_column
 from repro.trace.record import Op, TraceRecord
 
 INFINITY = float("inf")
@@ -54,19 +56,16 @@ _LEVEL_L2 = ServiceLevel.L2
 class RobEntry:
     """One in-flight instruction."""
 
-    __slots__ = ("seq", "ip", "op", "address", "dst", "deps", "ready_at",
+    __slots__ = ("seq", "ip", "op", "address", "deps", "ready_at",
                  "done_at", "dependents", "became_head_at", "service_level",
-                 "issued_at", "dispatched_at", "mlp_at_issue", "producers",
-                 "is_mispredict", "taken", "consumer_count",
-                 "history_snapshot")
+                 "dispatched_at", "mlp_at_issue", "is_mispredict",
+                 "consumer_count", "history_snapshot")
 
     def __init__(self, seq: int, record: TraceRecord, cycle: int) -> None:
         self.seq = seq
         self.ip = record.ip
         self.op = record.op
         self.address = record.address
-        self.dst = record.dst
-        self.taken = record.taken
         self.deps = 0
         self.ready_at = cycle
         self.done_at: Optional[int] = None
@@ -75,10 +74,8 @@ class RobEntry:
         self.dependents: Optional[List["RobEntry"]] = None
         self.became_head_at: Optional[int] = None
         self.service_level = ServiceLevel.UNKNOWN
-        self.issued_at: Optional[int] = None
         self.dispatched_at = cycle
         self.mlp_at_issue = 0
-        self.producers: tuple = ()
         self.is_mispredict = False
         self.consumer_count = 0
         #: (branch history, criticality history) captured at dispatch by
@@ -115,7 +112,10 @@ class Core:
     def __init__(self, core_id: int, config: CoreConfig,
                  trace: Sequence[TraceRecord], memory, engine,
                  branch_predictor: Optional[HashedPerceptronPredictor] = None,
-                 warmup_instructions: int = 0) -> None:
+                 warmup_instructions: int = 0,
+                 branch_outcomes: Optional[
+                     Callable[[BranchPredictorConfig], bytes]] = None,
+                 ) -> None:
         self.core_id = core_id
         self.config = config
         self.trace = trace
@@ -125,7 +125,16 @@ class Core:
         #: Instructions retired before statistics start counting.
         self.warmup_instructions = warmup_instructions
         self._warmup_cycle = 0
+        #: Counts this core's branches and mispredicts; the outcomes
+        #: themselves come from the per-trace mispredict column.
         self.branch_predictor = branch_predictor or HashedPerceptronPredictor()
+        #: ``config -> column`` for this trace; a system passes a memo
+        #: shared through its trace cache, a bare core replays its own.
+        self._branch_outcomes = (branch_outcomes
+                                 or partial(mispredict_column, trace))
+        #: The mispredict column, fetched on the first dispatch so that
+        #: building a core replays nothing.
+        self._mispredicts: Optional[bytes] = None
         self.rob: Deque[RobEntry] = deque()
         self.reg_producer: Dict[int, RobEntry] = {}
         self.pc = 0
@@ -222,17 +231,22 @@ class Core:
     def _dispatch(self, cycle: int) -> None:
         if self.fetch_stall_until > cycle:
             return
+        mispredicts = self._mispredicts
+        if mispredicts is None:
+            mispredicts = self._mispredicts = self._branch_outcomes(
+                self.branch_predictor.config)
         dispatched = 0
         config = self.config
         issue_width = config.issue_width
         rob_entries = config.rob_entries
+        alu_latency = config.alu_latency
         trace = self.trace
         trace_len = len(trace)
         rob = self.rob
         reg_producer = self.reg_producer
         dispatch_hooks = self.dispatch_hooks
         branch_hooks = self.branch_hooks
-        predict_and_train = self.branch_predictor.predict_and_train
+        predictor = self.branch_predictor
         pc = self.pc
         seq = self.seq
         next_cycle = cycle + 1
@@ -248,44 +262,56 @@ class Core:
                 entry.became_head_at = cycle
             rob.append(entry)
             if record.srcs:
-                self._wire_dependencies(entry, record, cycle)
+                self._wire_dependencies(entry, record)
             op = record.op
             if op == _OP_LOAD:
                 for hook in dispatch_hooks:
                     hook(self, entry, cycle)
             if record.dst >= 0:
                 reg_producer[record.dst] = entry
-            stop_fetch = False
+            mispredicted = False
             if op == _OP_BRANCH:
-                correct = predict_and_train(record.ip, record.taken)
-                if not correct:
+                predictor.predictions += 1
+                if mispredicts[pc - 1]:
+                    mispredicted = True
+                    predictor.mispredictions += 1
                     self.stats.mispredicts += 1
                     entry.is_mispredict = True
-                    stop_fetch = True
                 for hook in branch_hooks:
-                    hook(self, record.ip, record.taken, not correct, cycle)
+                    hook(self, record.ip, record.taken, mispredicted, cycle)
             if entry.deps == 0:
                 ready_at = entry.ready_at
-                self._begin_execution(
-                    entry, next_cycle if next_cycle > ready_at else ready_at)
-            if stop_fetch:
-                if entry.done_at is not None:
-                    self.fetch_stall_until = (entry.done_at
-                                              + config.mispredict_penalty)
+                start = next_cycle if next_cycle > ready_at else ready_at
+                if op == _OP_LOAD or op == _OP_STORE:
+                    self._begin_execution(entry, start)
                 else:
-                    self.fetch_stall_until = 1 << 62
+                    # Straight-line completion: what _set_done does for
+                    # an ALU op or branch that, just dispatched, has no
+                    # dependents yet.
+                    done_at = start + (1 if op == _OP_BRANCH
+                                       else alu_latency)
+                    entry.done_at = done_at
+                    if mispredicted:
+                        self.fetch_stall_until = (done_at
+                                                  + config.mispredict_penalty)
+                        if self.fetch_stall_until < self.next_wake:
+                            self.next_wake = self.fetch_stall_until
+                    if rob[0] is entry and done_at < self.next_wake:
+                        self.next_wake = done_at
+            elif mispredicted:
+                # Resolves when its producers complete (_set_done).
+                self.fetch_stall_until = 1 << 62
+            if mispredicted:
                 break
         self.pc = pc
         self.seq = seq
 
-    def _wire_dependencies(self, entry: RobEntry, record: TraceRecord,
-                           cycle: int) -> None:
-        producers = []
+    def _wire_dependencies(self, entry: RobEntry,
+                           record: TraceRecord) -> None:
         for src in record.srcs:
             producer = self.reg_producer.get(src)
             if producer is None:
                 continue
-            producers.append((producer.ip, producer.op))
             producer.consumer_count += 1
             if producer.done_at is None:
                 waiting = producer.dependents
@@ -296,7 +322,6 @@ class Core:
                 entry.deps += 1
             else:
                 entry.ready_at = max(entry.ready_at, producer.done_at)
-        entry.producers = tuple(producers)
 
     # ------------------------------------------------------------------
     # Execution
@@ -322,7 +347,6 @@ class Core:
 
     def _issue_load(self, entry: RobEntry) -> None:
         cycle = self.engine.now
-        entry.issued_at = cycle
         self.outstanding_loads += 1
         entry.mlp_at_issue = self.outstanding_loads
         for hook in self.load_issue_hooks:

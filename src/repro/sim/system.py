@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.invariants import check
 from repro.analysis.sanitizer import install_sanitizer, sanitize_enabled
-from repro.config import SystemConfig
-from repro.cpu.branch import HashedPerceptronPredictor
+from repro.config import BranchPredictorConfig, SystemConfig
+from repro.cpu.branch import HashedPerceptronPredictor, mispredict_column
 from repro.cpu.core_model import Core, ServiceLevel
 from repro.dram.controller import DramSystem
 from repro.noc.mesh import MeshNoc
@@ -36,29 +36,52 @@ from repro.trace.record import TraceRecord
 from repro.trace.synthetic import SyntheticWorkload
 from repro.trace.workloads import get_workload
 
+
+class CachedTrace:
+    """A generated trace plus its mispredict columns, one per branch
+    predictor configuration, each replayed on first request."""
+
+    __slots__ = ("records", "columns")
+
+    def __init__(self, records: List[TraceRecord]) -> None:
+        self.records = records
+        #: ``repr(BranchPredictorConfig)`` -> mispredict column.
+        self.columns: Dict[str, bytes] = {}
+
+    def mispredicts(self, branch: BranchPredictorConfig) -> bytes:
+        key = repr(branch)
+        column = self.columns.get(key)
+        if column is None:
+            column = self.columns[key] = mispredict_column(self.records,
+                                                           branch)
+        return column
+
+
 #: Generated synthetic traces, shared across runs.  Generation is
 #: deterministic in (spec content, core_id, length) and the simulator
 #: never mutates records, so a sweep running the same mix under many
-#: schemes pays trace generation once instead of once per scheme.  The
-#: spec ``repr`` keys by content, not identity: ad-hoc specs reusing a
-#: registered name cannot collide.  A small LRU bounds memory.
-_TRACE_CACHE: "OrderedDict[Tuple, List[TraceRecord]]" = OrderedDict()
+#: schemes pays trace generation once instead of once per scheme, and
+#: the branch pre-pass once per predictor configuration.  The spec
+#: ``repr`` keys by content, not identity: ad-hoc specs reusing a
+#: registered name cannot collide.  A small LRU bounds memory; an
+#: evicted trace takes its columns with it.
+_TRACE_CACHE: "OrderedDict[Tuple, CachedTrace]" = OrderedDict()
 _TRACE_CACHE_ENTRIES = 128
 
 
-def _workload_trace(name: str, length: int,
-                    core_id: int) -> List[TraceRecord]:
+def _workload_trace(name: str, length: int, core_id: int) -> CachedTrace:
     spec = get_workload(name)
     key = (name, repr(spec), core_id, length)
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = SyntheticWorkload(spec).generate(length, core_id=core_id)
-        _TRACE_CACHE[key] = trace
+    cached = _TRACE_CACHE.get(key)
+    if cached is None:
+        cached = CachedTrace(
+            SyntheticWorkload(spec).generate(length, core_id=core_id))
+        _TRACE_CACHE[key] = cached
         if len(_TRACE_CACHE) > _TRACE_CACHE_ENTRIES:
             _TRACE_CACHE.popitem(last=False)
     else:
         _TRACE_CACHE.move_to_end(key)
-    return trace
+    return cached
 
 
 class MulticoreSystem:
@@ -135,12 +158,13 @@ class MulticoreSystem:
         config = self.config
         length = config.warmup_instructions + config.sim_instructions
         for core_id, name in enumerate(self.workload_names):
-            trace = _workload_trace(name, length, core_id)
-            core = Core(core_id, config.core_for(core_id), trace,
+            cached = _workload_trace(name, length, core_id)
+            core = Core(core_id, config.core_for(core_id), cached.records,
                         memory=self.hierarchy, engine=self.engine,
                         branch_predictor=HashedPerceptronPredictor(
                             config.branch),
-                        warmup_instructions=config.warmup_instructions)
+                        warmup_instructions=config.warmup_instructions,
+                        branch_outcomes=cached.mispredicts)
             node = self.hierarchy.nodes[core_id]
             if node.clip is not None:
                 node.clip.attach(core)

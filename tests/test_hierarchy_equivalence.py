@@ -11,12 +11,14 @@ means the port/message decomposition changed simulated behaviour.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
 import pytest
 
 from equivalence_points import GOLDEN_DIR, POINTS
 
-from repro.sim.system import run_system
+from repro.sim import system as system_module
+from repro.sim.system import MulticoreSystem, run_system
 
 
 def _diff(expected, actual, path=""):
@@ -46,6 +48,27 @@ def test_result_identical_to_pre_refactor_golden(point):
         diffs = "\n".join(_diff(golden["result"], result)[:40])
         pytest.fail(f"SimulationResult.to_dict() diverged from the "
                     f"pre-refactor golden for point {point!r}:\n{diffs}")
+
+
+def test_results_identical_with_cold_and_warm_trace_memo(monkeypatch):
+    """Each point run first against an empty trace cache, which replays
+    the branch pre-pass, then against the populated one, which reuses
+    its traces and mispredict columns: both match the golden."""
+    monkeypatch.setattr(system_module, "_TRACE_CACHE", OrderedDict())
+    for point in sorted(POINTS):
+        golden = json.loads((GOLDEN_DIR / f"{point}.json").read_text())
+        system_module._TRACE_CACHE.clear()
+        runs = []
+        for memo in ("cold", "warm"):
+            config, mix = POINTS[point]()
+            system = MulticoreSystem(config, mix)
+            result = system.run().to_dict()
+            assert result == golden["result"], (
+                f"{point} diverged from its golden with a {memo} memo:\n"
+                + "\n".join(_diff(golden["result"], result)[:40]))
+            runs.append([core._mispredicts for core in system.cores])
+        cold, warm = runs
+        assert all(a is b for a, b in zip(cold, warm))
 
 
 def test_points_cover_clip_with_prefetchers():
