@@ -8,29 +8,39 @@ section 5 for the experiment index and EXPERIMENTS.md for paper-vs-measured
 records.
 """
 
-from repro.experiments.figures import (figure1, figure2, figure3, figure4,
-                                       figure5, figure6, figure9, figure10,
-                                       figure11, figure12, figure13,
-                                       figure14, figure15, figure16,
-                                       figure17, figure18, figure19,
-                                       figure20, figure21, table2, table3,
-                                       energy_study, llc_sensitivity,
-                                       core_count_sensitivity,
-                                       ablation_study)
-from repro.experiments.learned import LEARNED_SCHEMES, learned_study
-from repro.experiments.power_budget import (frequency_adjusted_speedup,
-                                            power_budget_study)
-from repro.experiments.runner import BenchScale, ExperimentRunner
-from repro.experiments.sweep import (ResultStore, RunSpec, Scheme, Sweep,
-                                     run_sweep)
+from importlib import import_module
 
-__all__ = [
-    "figure1", "figure2", "figure3", "figure4", "figure5", "figure6",
-    "figure9", "figure10", "figure11", "figure12", "figure13", "figure14",
-    "figure15", "figure16", "figure17", "figure18", "figure19", "figure20",
-    "figure21", "table2", "table3", "energy_study", "llc_sensitivity",
-    "ablation_study", "power_budget_study", "frequency_adjusted_speedup",
-    "learned_study", "LEARNED_SCHEMES",
-    "core_count_sensitivity", "BenchScale", "ExperimentRunner",
-    "Scheme", "RunSpec", "Sweep", "ResultStore", "run_sweep",
-]
+#: Public name -> home submodule.  Names resolve on first access (PEP 562),
+#: so importing one submodule -- e.g. ``repro.experiments.sweep`` from
+#: ``repro.api`` -- does not compile every figure driver.
+_HOMES = {
+    **dict.fromkeys(
+        ["figure1", "figure2", "figure3", "figure4", "figure5", "figure6",
+         "figure9", "figure10", "figure11", "figure12", "figure13",
+         "figure14", "figure15", "figure16", "figure17", "figure18",
+         "figure19", "figure20", "figure21", "table2", "table3",
+         "energy_study", "llc_sensitivity", "core_count_sensitivity",
+         "ablation_study"], "figures"),
+    **dict.fromkeys(["LEARNED_SCHEMES", "learned_study"], "learned"),
+    **dict.fromkeys(["frequency_adjusted_speedup", "power_budget_study"],
+                    "power_budget"),
+    **dict.fromkeys(["BenchScale", "ExperimentRunner"], "runner"),
+    **dict.fromkeys(["ResultStore", "RunSpec", "Scheme", "Sweep",
+                     "run_sweep"], "sweep"),
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

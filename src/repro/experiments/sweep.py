@@ -33,7 +33,6 @@ import json
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
@@ -574,6 +573,7 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
         for spec in pending:
             record(spec, SimulationResult.from_dict(execute_spec(spec)))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for spec, data in zip(pending, pool.map(execute_spec, pending)):

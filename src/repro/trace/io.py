@@ -4,7 +4,9 @@ Traces regenerate deterministically, but callers running many experiments
 over the same workloads can cache them on disk.  The format is a compact
 NumPy ``.npz`` bundle: five parallel arrays plus a ragged source-register
 encoding (offsets + flattened values), the same trick ChampSim-style tools
-use for variable-length fields.
+use for variable-length fields.  NumPy is imported on first use, so
+importing the simulator (which never touches trace files) does not load
+it.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Sequence, Union
 
-import numpy as np
-
 from repro.trace.record import Op, TraceRecord
 
 
 def save_trace(path: Union[str, Path],
                records: Sequence[TraceRecord]) -> None:
     """Write ``records`` to ``path`` as a ``.npz`` bundle."""
+    import numpy as np
     if not records:
         raise ValueError("refusing to save an empty trace")
     ips = np.fromiter((r.ip for r in records), dtype=np.uint64,
@@ -45,6 +46,7 @@ def save_trace(path: Union[str, Path],
 
 def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
     """Read a trace previously written by :func:`save_trace`."""
+    import numpy as np
     with np.load(path) as data:
         ips = data["ips"]
         ops = data["ops"]

@@ -34,9 +34,9 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Tuple
 
-from repro.trace.record import Op, TraceRecord
+from repro.trace.record import NO_REG, Op, TraceRecord
 
 _LINE = 64
 #: General-purpose destination registers rotate through 0..23; registers
@@ -50,6 +50,16 @@ _CHASE_REGS = 8
 def _stable_seed(*parts: object) -> int:
     digest = hashlib.sha256("/".join(str(p) for p in parts).encode())
     return int.from_bytes(digest.digest()[:8], "little")
+
+
+_KINDS = ("stride", "pointer", "spatial", "random", "hotcold",
+          "stream_store")
+_STRIDE, _POINTER, _SPATIAL, _RANDOM, _HOTCOLD, _STREAM_STORE = range(6)
+
+
+def _unit_interval(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
 @dataclass
@@ -72,14 +82,28 @@ class StreamSpec:
     ips: int = 1
 
     def __post_init__(self) -> None:
-        valid = {"stride", "pointer", "spatial", "random", "hotcold",
-                 "stream_store"}
-        if self.kind not in valid:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if self.footprint_kib < 1:
             raise ValueError("footprint must be at least 1 KiB")
         if self.weight <= 0:
             raise ValueError("stream weight must be positive")
+        if self.region_bytes < 1:
+            raise ValueError("region_bytes must be at least 1")
+        if (self.kind == "spatial"
+                and self.region_bytes > self.footprint_kib * 1024):
+            raise ValueError(
+                f"spatial region_bytes {self.region_bytes} exceeds the "
+                f"{self.footprint_kib} KiB footprint")
+        if self.hot_footprint_kib < 1:
+            raise ValueError("hot footprint must be at least 1 KiB")
+        if self.ips < 1:
+            raise ValueError("ips must be >= 1")
+        if self.dep_alu < 0:
+            raise ValueError("dep_alu must be >= 0")
+        _unit_interval("hot_probability", self.hot_probability)
+        _unit_interval("branch_bias", self.branch_bias)
+        _unit_interval("spatial_density", self.spatial_density)
 
 
 @dataclass
@@ -98,39 +122,62 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if not self.streams:
             raise ValueError(f"workload {self.name!r} has no streams")
+        if self.alu_filler_weight < 0:
+            raise ValueError("alu_filler_weight must be >= 0")
         if self.phases < 1:
             raise ValueError("phases must be >= 1")
+        if self.phase_length < 1:
+            raise ValueError("phase_length must be >= 1")
 
 
 class _StreamState:
-    """Mutable per-stream generation state."""
+    """One stream's per-trace constants plus its mutable cursor state."""
 
-    __slots__ = ("spec", "base_ip", "base_addr", "cursor", "last_dst",
-                 "region_base", "region_offsets", "region_pos", "hot_base",
-                 "chase_reg", "pattern")
+    __slots__ = ("kind", "base_addr", "footprint", "lines", "skew_lines",
+                 "hot_lines", "hot_base", "hot_probability", "stride",
+                 "region_bytes", "regions", "region_offsets", "region_base",
+                 "region_pos", "load_ips", "ips", "alu_ips", "hotcold_ip",
+                 "loop_ip", "bias", "chase_reg", "chase_srcs", "chased",
+                 "cursor")
 
     def __init__(self, spec: StreamSpec, index: int, base_ip: int,
                  rng: random.Random) -> None:
-        self.spec = spec
-        self.base_ip = base_ip + index * 0x10000
+        self.kind = _KINDS.index(spec.kind)
+        base_ip += index * 0x10000
         self.chase_reg = _CHASE_REG_BASE + index % _CHASE_REGS
+        self.chase_srcs = (self.chase_reg,)
+        self.chased = False
         # Streams get disjoint address regions inside the workload space,
         # with a per-stream page-aligned jitter so bases do not all align
         # on the same power-of-two boundary (real heaps never do).
         jitter = (rng.randrange(1 << 14)) << 12
         self.base_addr = 0x1000_0000 + index * 0x4000_0000 + jitter
-        self.cursor = 0
-        self.last_dst: Optional[int] = None
-        self.region_base = 0
-        # Force a region pick on the first spatial emission.
-        self.region_pos = 1 << 30
+        self.footprint = spec.footprint_kib * 1024
+        self.lines = self.footprint // _LINE
+        self.skew_lines = max(1, self.lines // 16)
+        self.hot_lines = spec.hot_footprint_kib * 1024 // _LINE
         self.hot_base = self.base_addr + 0x2000_0000
+        self.hot_probability = spec.hot_probability
+        self.stride = spec.stride
+        self.region_bytes = spec.region_bytes
+        self.regions = self.footprint // spec.region_bytes
         # A fixed per-stream spatial footprint (recurs across regions).
         lines_per_region = max(1, spec.region_bytes // _LINE)
         wanted = max(1, int(lines_per_region * spec.spatial_density))
-        self.region_offsets = sorted(
-            rng.sample(range(lines_per_region), min(wanted, lines_per_region)))
-        self.pattern = 0
+        self.region_offsets = tuple(offset * _LINE for offset in sorted(
+            rng.sample(range(lines_per_region), wanted)))
+        self.region_base = 0
+        # Force a region pick on the first spatial emission.
+        self.region_pos = len(self.region_offsets)
+        self.load_ips = tuple(base_ip + slot * 0x20
+                              for slot in range(spec.ips))
+        self.ips = spec.ips
+        self.alu_ips = tuple(base_ip + 0x40 + i * 4
+                             for i in range(spec.dep_alu))
+        self.hotcold_ip = base_ip + 0x4
+        self.loop_ip = base_ip + 0x60
+        self.bias = spec.branch_bias
+        self.cursor = 0
 
 
 class SyntheticWorkload:
@@ -146,141 +193,136 @@ class SyntheticWorkload:
         stream; different cores get different interleavings (SPEC-rate runs
         start all copies at the same SimPoint, but queueing noise decorrelates
         them -- a different RNG stream per core models that).
+
+        The order of the RNG draws is part of that contract; the pinned
+        digests in ``tests/data/trace_digests.json`` hold it fixed.  Each
+        bundle draws, in order: the stream pick; the stream's own draws
+        (a pointer or random stream: the 70% hot-fraction test, then the
+        line; a spatial stream on a region change: the region; a hotcold
+        stream: the branch, then the line); and the loop branch.  An ALU
+        filler bundle draws the stream pick, the 20% branch test and, on
+        a branch, its outcome.
         """
         if length < 1:
             raise ValueError("length must be positive")
-        rng = random.Random(_stable_seed(self.spec.name, core_id))
-        base_ip = 0x400000 + (_stable_seed(self.spec.name) & 0xFFFF) * 0x100
-        states = [
-            _StreamState(spec, i, base_ip, rng)
-            for i, spec in enumerate(self.spec.streams)
-        ]
-        out: List[TraceRecord] = []
-        next_reg = 0
-        phase = 0
+        spec = self.spec
+        rng = random.Random(_stable_seed(spec.name, core_id))
+        draw = rng.random
+        randrange = rng.randrange
+        base_ip = 0x400000 + (_stable_seed(spec.name) & 0xFFFF) * 0x100
+        states = [_StreamState(stream, i, base_ip, rng)
+                  for i, stream in enumerate(spec.streams)]
         num_streams = len(states)
-        # Per-phase cumulative weight tables, built once: the stream pick
-        # below replicates ``rng.choices(range(n + 1), weights=w)[0]``
-        # bit-for-bit (one rng.random() draw, bisect over the cumulative
-        # weights) without rebuilding the weight lists every bundle.
-        phase_tables = [self._phase_cum_weights(p)
-                        for p in range(self.spec.phases)]
-        phases = self.spec.phases
-        phase_length = self.spec.phase_length
+        # Per-phase cumulative weight tables: the stream pick replicates
+        # ``rng.choices(range(n + 1), weights=w)[0]`` bit-for-bit (one
+        # draw, bisect over the cumulative weights).
+        tables = [self._phase_cum_weights(p) for p in range(spec.phases)]
+        cum_weights, total = tables[0]
+        phases = spec.phases
+        phase_length = spec.phase_length
+        filler_ip = base_ip + 0x8
+        filler_branch_ip = base_ip + 0x10
+        load, store, branch, alu = Op.LOAD, Op.STORE, Op.BRANCH, Op.ALU
+        record = TraceRecord
+        pick = bisect.bisect
+        out: List[TraceRecord] = []
+        append = out.append
+        next_reg = 0
         while len(out) < length:
             if phases > 1:
-                phase = (len(out) // phase_length) % phases
-            cum_weights, total = phase_tables[phase]
-            choice = bisect.bisect(cum_weights, rng.random() * total,
-                                   0, num_streams)
+                cum_weights, total = tables[
+                    (len(out) // phase_length) % phases]
+            choice = pick(cum_weights, draw() * total, 0, num_streams)
             if choice == num_streams:
-                next_reg = self._emit_filler(out, rng, base_ip, next_reg)
-            else:
-                next_reg = self._emit_bundle(
-                    states[choice], out, rng, next_reg)
+                dst = next_reg % _REG_POOL
+                next_reg += 1
+                append(record(filler_ip, alu, 0, False, dst, ()))
+                if draw() < 0.2:
+                    append(record(filler_branch_ip, branch, 0,
+                                  draw() < 0.97, NO_REG, (dst,)))
+                continue
+            state = states[choice]
+            kind = state.kind
+            cursor = state.cursor
+            state.cursor = cursor + 1
+            load_ip = state.load_ips[cursor % state.ips]
+            dst = next_reg % _REG_POOL
+            next_reg += 1
+            if kind == _RANDOM or kind == _POINTER:
+                # Skewed line pick: most irregular accesses (pointer
+                # chases, graph lookups) revisit a hot fraction of the
+                # structure rather than sweeping it uniformly.
+                if draw() < 0.7:
+                    line = randrange(state.skew_lines)
+                else:
+                    line = randrange(state.lines)
+                address = state.base_addr + line * _LINE
+                if kind == _POINTER:
+                    srcs = state.chase_srcs if state.chased else ()
+                    state.chased = True
+                    dst = state.chase_reg
+                    append(record(load_ip, load, address, False, dst, srcs))
+                else:
+                    append(record(load_ip, load, address, False, dst, ()))
+            elif kind == _STRIDE:
+                address = (state.base_addr
+                           + (cursor * state.stride) % state.footprint)
+                append(record(load_ip, load, address, False, dst, ()))
+            elif kind == _SPATIAL:
+                offsets = state.region_offsets
+                pos = state.region_pos
+                if pos >= len(offsets):
+                    pos = 0
+                    state.region_base = (
+                        state.base_addr
+                        + randrange(state.regions) * state.region_bytes)
+                state.region_pos = pos + 1
+                append(record(load_ip, load,
+                              state.region_base + offsets[pos], False, dst,
+                              ()))
+            elif kind == _HOTCOLD:
+                # Branch first; its outcome selects the hot or cold region
+                # for the *same* load IP.  The branch is data-dependent
+                # (sourced from the previous iteration's load) so it
+                # resolves late and its outcome genuinely precedes the
+                # load in global branch history.
+                take_hot = draw() < state.hot_probability
+                append(record(state.hotcold_ip, branch, 0, take_hot,
+                              NO_REG,
+                              state.chase_srcs if state.chased else ()))
+                if take_hot:
+                    address = (state.hot_base
+                               + randrange(state.hot_lines) * _LINE)
+                else:
+                    address = (state.base_addr
+                               + randrange(state.lines) * _LINE)
+                state.chased = True
+                dst = state.chase_reg
+                append(record(load_ip, load, address, False, dst, ()))
+            else:  # _STREAM_STORE
+                address = (state.base_addr
+                           + (cursor * state.stride) % state.footprint)
+                append(record(load_ip, load, address, False, dst, ()))
+                append(record(load_ip + 0x4, store, address, False, NO_REG,
+                              (dst,)))
+            srcs = (dst,)
+            for alu_ip in state.alu_ips:
+                append(record(alu_ip, alu, 0, False, next_reg % _REG_POOL,
+                              srcs))
+                next_reg += 1
+            # Loop branch closing the bundle (predictable, biased taken).
+            append(record(state.loop_ip, branch, 0, draw() < state.bias,
+                          NO_REG, ()))
         del out[length:]
         return out
 
-    def _phase_cum_weights(self, phase: int) -> tuple:
-        """(cumulative weights, float total) for one phase's stream pick."""
-        cum_weights = list(itertools.accumulate(self._phase_weights(phase)))
-        total = cum_weights[-1] + 0.0
-        if total <= 0.0:
-            raise ValueError("Total of weights must be greater than zero")
-        return cum_weights, total
-
-    def _phase_weights(self, phase: int) -> List[float]:
-        """Stream weights for ``phase``; phases rotate stream emphasis."""
+    def _phase_cum_weights(self, phase: int) -> Tuple[List[float], float]:
+        """(cumulative weights, float total) for one phase's stream pick;
+        phases rotate stream emphasis."""
         weights = [s.weight for s in self.spec.streams]
         if phase:
             rotation = phase % len(weights)
             weights = weights[rotation:] + weights[:rotation]
-        return weights + [self.spec.alu_filler_weight]
-
-    @staticmethod
-    def _skewed_line(rng: random.Random, footprint: int) -> int:
-        """Pick a line index with realistic skew: most irregular accesses
-        (pointer chases, graph lookups) revisit a hot fraction of the
-        structure rather than sweeping it uniformly."""
-        span = max(1, footprint // _LINE)
-        if rng.random() < 0.7:
-            return rng.randrange(max(1, span // 16))
-        return rng.randrange(span)
-
-    def _emit_filler(self, out: List[TraceRecord], rng: random.Random,
-                     base_ip: int, next_reg: int) -> int:
-        dst = next_reg % _REG_POOL
-        out.append(TraceRecord(base_ip + 0x8, Op.ALU, dst=dst))
-        if rng.random() < 0.2:
-            out.append(TraceRecord(base_ip + 0x10, Op.BRANCH,
-                                   taken=rng.random() < 0.97,
-                                   srcs=(dst,)))
-        return next_reg + 1
-
-    def _emit_bundle(self, state: _StreamState, out: List[TraceRecord],
-                     rng: random.Random, next_reg: int) -> int:
-        spec = state.spec
-        footprint = spec.footprint_kib * 1024
-        ip_slot = state.cursor % max(1, spec.ips)
-        load_ip = state.base_ip + ip_slot * 0x20
-        dst = next_reg % _REG_POOL
-        next_reg += 1
-
-        if spec.kind == "stride":
-            address = state.base_addr + (state.cursor * spec.stride) % footprint
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-        elif spec.kind == "pointer":
-            address = state.base_addr + self._skewed_line(rng, footprint) * _LINE
-            srcs = (state.chase_reg,) if state.last_dst is not None else ()
-            dst = state.chase_reg
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address,
-                                   dst=dst, srcs=srcs))
-            state.last_dst = dst
-        elif spec.kind == "spatial":
-            if state.region_pos >= len(state.region_offsets):
-                state.region_pos = 0
-                state.region_base = (state.base_addr
-                                     + rng.randrange(footprint // spec.region_bytes)
-                                     * spec.region_bytes)
-            offset = state.region_offsets[state.region_pos]
-            state.region_pos += 1
-            address = state.region_base + offset * _LINE
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-        elif spec.kind == "random":
-            address = state.base_addr + self._skewed_line(rng, footprint) * _LINE
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-        elif spec.kind == "hotcold":
-            # Branch first; its outcome selects the hot or cold region for
-            # the *same* load IP.  The branch is data-dependent (sourced from
-            # the previous iteration's load) so it resolves late and its
-            # outcome genuinely precedes the load in global branch history.
-            take_hot = rng.random() < spec.hot_probability
-            branch_srcs = (state.chase_reg,) if state.last_dst is not None else ()
-            out.append(TraceRecord(state.base_ip + 0x4, Op.BRANCH,
-                                   taken=take_hot, srcs=branch_srcs))
-            if take_hot:
-                hot_bytes = spec.hot_footprint_kib * 1024
-                address = state.hot_base + rng.randrange(hot_bytes // _LINE) * _LINE
-            else:
-                address = state.base_addr + rng.randrange(footprint // _LINE) * _LINE
-            dst = state.chase_reg
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-            state.last_dst = dst
-        elif spec.kind == "stream_store":
-            address = state.base_addr + (state.cursor * spec.stride) % footprint
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-            out.append(TraceRecord(load_ip + 0x4, Op.STORE,
-                                   address=address, srcs=(dst,)))
-        else:  # pragma: no cover - guarded by StreamSpec validation
-            raise AssertionError(spec.kind)
-
-        state.cursor += 1
-        for i in range(spec.dep_alu):
-            alu_dst = next_reg % _REG_POOL
-            next_reg += 1
-            out.append(TraceRecord(state.base_ip + 0x40 + i * 4, Op.ALU,
-                                   dst=alu_dst, srcs=(dst,)))
-        # Loop branch closing the bundle (predictable, biased taken).
-        out.append(TraceRecord(state.base_ip + 0x60, Op.BRANCH,
-                               taken=rng.random() < spec.branch_bias))
-        return next_reg
+        cum_weights = list(itertools.accumulate(
+            weights + [self.spec.alu_filler_weight]))
+        return cum_weights, cum_weights[-1] + 0.0

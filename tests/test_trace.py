@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,44 @@ class TestStreamSpec:
         with pytest.raises(ValueError, match="footprint"):
             StreamSpec(kind="stride", footprint_kib=0)
 
+    def test_rejects_spatial_region_larger_than_footprint(self):
+        # Would otherwise die mid-generate: randrange(0) picking a region.
+        with pytest.raises(ValueError, match="region_bytes 2048 exceeds"):
+            StreamSpec(kind="spatial", footprint_kib=1)
+
+    def test_region_only_bounded_by_footprint_for_spatial(self):
+        StreamSpec(kind="random", footprint_kib=1)
+
+    def test_rejects_nonpositive_region(self):
+        with pytest.raises(ValueError, match="region_bytes"):
+            StreamSpec(kind="spatial", region_bytes=0)
+
+    def test_rejects_empty_hot_footprint(self):
+        # Would otherwise die mid-generate on the first hot access.
+        with pytest.raises(ValueError, match="hot footprint"):
+            StreamSpec(kind="hotcold", hot_footprint_kib=0)
+
+    def test_rejects_zero_ips(self):
+        with pytest.raises(ValueError, match="ips must be >= 1"):
+            StreamSpec(kind="stride", ips=0)
+
+    def test_rejects_negative_dep_alu(self):
+        with pytest.raises(ValueError, match="dep_alu must be >= 0"):
+            StreamSpec(kind="stride", dep_alu=-1)
+
+    @pytest.mark.parametrize("field", ["hot_probability", "branch_bias",
+                                       "spatial_density"])
+    @pytest.mark.parametrize("value", [-0.1, 1.7])
+    def test_rejects_probability_outside_unit_interval(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be in \[0, 1\]"):
+            StreamSpec(kind="hotcold", **{field: value})
+
+    @pytest.mark.parametrize("field", ["hot_probability", "branch_bias",
+                                       "spatial_density"])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_accepts_probability_bounds(self, field, value):
+        StreamSpec(kind="hotcold", **{field: value})
+
 
 class TestWorkloadSpec:
     def test_requires_streams(self):
@@ -75,6 +115,25 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError, match="phases"):
             WorkloadSpec(name="w",
                          streams=[StreamSpec(kind="stride")], phases=0)
+
+    def test_rejects_zero_phase_length(self):
+        # phases > 1 would otherwise divide by zero picking the phase.
+        with pytest.raises(ValueError, match="phase_length"):
+            WorkloadSpec(name="w", streams=[StreamSpec(kind="stride")],
+                         phases=2, phase_length=0)
+
+    def test_rejects_negative_filler_weight(self):
+        with pytest.raises(ValueError, match="alu_filler_weight"):
+            WorkloadSpec(name="w", streams=[StreamSpec(kind="stride")],
+                         alu_filler_weight=-1.0)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_catalogue_workload_validates(self, name):
+        # Rebuilding runs every __post_init__ check again, including on
+        # fields the catalogue sets after construction.
+        spec = get_workload(name)
+        dataclasses.replace(spec, streams=[dataclasses.replace(stream)
+                                           for stream in spec.streams])
 
 
 class TestSyntheticWorkload:
