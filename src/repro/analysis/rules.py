@@ -46,7 +46,7 @@ _CYCLE_NAME_RE = re.compile(
     r"|(_(cycle|cycles|at|until|deadline|horizon)$)")
 
 #: Attribute bases that hold a stats object (``self.stats.reads += 1``,
-#: ``channel.stats...``, ``self.prefetch_stats...``) or a bare local
+#: ``channel.stats...``, any ``*_stats`` attribute) or a bare local
 #: alias (``stats = self.stats; stats.reads += 1``).
 _STATS_BASE_RE = re.compile(r"(^stats$)|(_stats$)")
 

@@ -337,7 +337,8 @@ class Sanitizer:
             check(not mshr_file.pending,
                   "LLC slice %d MSHR left %d queued misses", slice_id,
                   len(mshr_file.pending))
-        errors = system.prefetch_stats.consistency_errors()
+        errors = system.prefetch_summary(
+            system.hierarchy.counters.snapshot()).consistency_errors()
         self._count("final", 1)
         check(not errors, "prefetch statistics inconsistent: %s",
               "; ".join(errors))

@@ -23,7 +23,6 @@ from repro.analysis.invariants import check
 from repro.config import SystemConfig
 from repro.core.storage import storage_overhead, storage_table
 from repro.criticality import predictor_names
-from repro.energy import dynamic_energy
 from repro.experiments.report import print_figure
 from repro.experiments.runner import BenchScale, ExperimentRunner
 from repro.experiments.statistics import arithmetic_mean, geometric_mean
@@ -789,7 +788,7 @@ def energy_study(runner: Optional[ExperimentRunner] = None,
                 runner.spec_homogeneous(scheme, workload, channels))
             # Counter-driven: CLIP structure activity comes off the
             # result's own counters, not a caller-supplied estimate.
-            totals[label].append(dynamic_energy(result).total_mj)
+            totals[label].append(result.energy_mj)
     berti_mj = arithmetic_mean(totals["berti"])
     clip_mj = arithmetic_mean(totals["berti+clip"])
     saving = 1.0 - clip_mj / berti_mj if berti_mj else 0.0

@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, TYPE_CHECKING
 from repro.prefetch.base import PrefetchRequest
 from repro.prefetch.learned.policy import PolicyFeatures
 from repro.sim.hierarchy.messages import privatize
-from repro.sim.stats import PrefetchStats
 from repro.throttle.base import ThrottleSnapshot
 
 if TYPE_CHECKING:
@@ -49,12 +48,11 @@ class PrefetchFilterChain:
     """The CLIP / criticality-gate / DSPatch / throttle hook stack."""
 
     __slots__ = ("node", "clip", "crit_gate", "gate_enabled", "dspatch",
-                 "throttler", "stats", "dram", "channel_utilization",
+                 "throttler", "dram", "channel_utilization",
                  "issue", "policy", "policy_target", "policy_epoch",
                  "noc_flits")
 
-    def __init__(self, node: "CoreNode", stats: PrefetchStats,
-                 dram: "DramPort",
+    def __init__(self, node: "CoreNode", dram: "DramPort",
                  channel_utilization: Callable[[int], float],
                  gate_enabled: bool) -> None:
         self.node = node
@@ -65,7 +63,6 @@ class PrefetchFilterChain:
         self.gate_enabled = gate_enabled
         self.dspatch = None
         self.throttler = None
-        self.stats = stats
         self.dram = dram
         self.channel_utilization = channel_utilization
         #: Issuing-layer hook, wired to ``L1Node.issue_prefetch``.
@@ -113,26 +110,23 @@ class PrefetchFilterChain:
     def handle(self, candidates: List[PrefetchRequest], cycle: int,
                dspatch_generated: bool = False) -> None:
         """Filter ``candidates`` and hand survivors to the issuing layer."""
-        stats = self.stats
         node = self.node
         if self.dspatch is not None and not dspatch_generated:
             candidates = self.dspatch.filter_candidates(
                 candidates, self.channel_utilization)
         for request in candidates:
-            stats.candidates += 1
+            node.pf_candidates += 1
             crit = False
             if self.clip is not None:
                 allowed, crit = self.clip.filter_request(
                     request.trigger_ip, request.address, cycle)
                 if not allowed:
                     node.pf_dropped_filter += 1
-                    stats.dropped_filter += 1
                     continue
             elif self.crit_gate is not None and self.gate_enabled:
                 if not self.crit_gate.predicts_critical_ip(
                         request.trigger_ip):
                     node.pf_dropped_filter += 1
-                    stats.dropped_filter += 1
                     continue
             if self.policy is not None:
                 # Documented ``decide`` point: once per candidate that
@@ -142,7 +136,6 @@ class PrefetchFilterChain:
                         request.trigger_ip,
                         privatize(node.core_id, request.address), cycle):
                     node.pf_dropped_filter += 1
-                    stats.dropped_filter += 1
                     continue
             self.issue(request, cycle, crit)
 

@@ -18,7 +18,6 @@ from repro.cpu.core_model import ServiceLevel
 from repro.prefetch.base import PrefetchRequest
 from repro.sim.hierarchy.messages import MemoryRequest, privatize
 from repro.sim.hierarchy.port import Port
-from repro.sim.stats import PrefetchStats
 from repro.sim.tracing import RequestRecord, RequestTrace
 
 if TYPE_CHECKING:
@@ -38,10 +37,10 @@ class L1Node:
 
     __slots__ = ("node", "core_id", "cache", "port", "prefetcher",
                  "latency", "mmu", "clip", "hermes", "hermes_pending",
-                 "stats", "trace", "downstream", "offchip", "slices")
+                 "trace", "downstream", "offchip", "slices")
 
     def __init__(self, node: "CoreNode", cache: Cache, port: Port,
-                 prefetcher, latency: int, stats: PrefetchStats,
+                 prefetcher, latency: int,
                  trace: Optional[RequestTrace], mmu=None, clip=None,
                  hermes=None) -> None:
         self.node = node
@@ -50,7 +49,6 @@ class L1Node:
         self.port = port
         self.prefetcher = prefetcher
         self.latency = latency
-        self.stats = stats
         self.trace = trace
         self.mmu = mmu
         self.clip = clip
@@ -201,7 +199,6 @@ class L1Node:
     def issue_prefetch(self, request: PrefetchRequest, cycle: int,
                        crit: bool) -> None:
         node = self.node
-        stats = self.stats
         line = privatize(self.core_id, request.address)
         # CLIP-selected prefetches from an L1 prefetcher always fill to L1
         # (section 4.2: the requests are known critical and accurate);
@@ -215,7 +212,6 @@ class L1Node:
                 or l2.port.lookup(line) is not None
                 or self.port.lookup(line) is not None):
             node.pf_dropped_duplicate += 1
-            stats.dropped_duplicate += 1
             return
         if fill_level == 1 and self.port.full:
             # Demote to an L2 fill (Berti orchestrates fills across L1..L3;
@@ -224,10 +220,8 @@ class L1Node:
             fill_level = 2
         if fill_level != 1 and l2.port.full:
             node.pf_dropped_mshr += 1
-            stats.dropped_mshr += 1
             return
         node.pf_issued += 1
-        stats.issued += 1
         if self.clip is not None:
             self.clip.on_prefetch_issued(line, request.trigger_ip)
         req = MemoryRequest(line=line, address=request.address,
@@ -245,23 +239,16 @@ class L1Node:
     def request(self, req: MemoryRequest, cycle: int,
                 callback: Optional[Callable]) -> None:
         """Handle an L1 miss (or L1-fill prefetch) for ``req.line``."""
-        node = self.node
         line = req.line
-        if req.is_prefetch and self.cache.probe(line):
-            # A demand fetched the line while this prefetch queued.
-            node.pf_dropped_duplicate += 1
-            self.stats.dropped_duplicate += 1
-            return
         mshr = self.port.lookup(line)
         if mshr is not None:
             waiter = (callback, req.t0) if callback is not None else None
             was_late = mshr.is_prefetch and not mshr.demand_merged
             self.port.merge(mshr, waiter, req.is_prefetch)
             if was_late and not req.is_prefetch:
-                # Late but useful: the paper counts these as accurate.
-                self.stats.late += 1
-                self.stats.useful += 1
-                node.pf_useful += 1
+                # Late but useful: the paper counts these as accurate
+                # (the MSHR file counts the late merge itself).
+                self.node.pf_useful += 1
             if req.is_store:
                 mshr.dirty = True
             return

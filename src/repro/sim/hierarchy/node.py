@@ -1,8 +1,9 @@
 """Per-core vertical slice of the hierarchy: L1 + L2 + filter chain.
 
 :class:`CoreNode` aggregates the two private levels of one core and the
-per-core accounting both levels update (prefetch issue/drop counters,
-demand-latency sums indexed by service level, throttling-epoch state).
+per-core accounting both levels update (prefetch candidate/issue/drop/
+use counters -- the simulator's only prefetch accumulator -- demand-
+latency sums indexed by service level, throttling-epoch state).
 The flow logic lives in the layer components (:class:`~repro.sim.
 hierarchy.l1.L1Node`, :class:`~repro.sim.hierarchy.l2.L2Node`); the
 node exposes flat views (``l1d``, ``l1_mshr``, ``hermes``, ...) so
@@ -23,8 +24,8 @@ if TYPE_CHECKING:
 class CoreNode:
     """One core's private memory-side state and counters."""
 
-    __slots__ = ("core_id", "l1", "l2", "chain", "pf_issued",
-                 "pf_dropped_filter", "pf_dropped_duplicate",
+    __slots__ = ("core_id", "l1", "l2", "chain", "pf_candidates",
+                 "pf_issued", "pf_dropped_filter", "pf_dropped_duplicate",
                  "pf_dropped_mshr", "pf_useful", "lat_sum", "lat_count",
                  "epoch_accesses", "epoch_base", "demand_l1_misses",
                  "policy_accesses")
@@ -37,6 +38,10 @@ class CoreNode:
         self.l1: "L1Node"
         self.l2: "L2Node"
         self.chain: "PrefetchFilterChain"
+        #: Candidates entering the filter chain.  Kept out of the
+        #: ``core{N}.chain`` counter group: it always equals issued plus
+        #: the three drop counts, so it would only restate them.
+        self.pf_candidates = 0
         self.pf_issued = 0
         self.pf_dropped_filter = 0
         self.pf_dropped_duplicate = 0

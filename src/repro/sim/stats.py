@@ -10,7 +10,31 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from fnmatch import fnmatchcase
+from typing import Dict, Iterable, List, Optional
+
+#: A counter snapshot (``SimulationResult.counters``):
+#: ``{group: {counter: value}}``.
+Counters = Dict[str, Dict[str, int]]
+
+
+def counter_groups(counters: Counters,
+                   pattern: str) -> List[Dict[str, int]]:
+    """The groups whose name matches the shell-style ``pattern``
+    (``"core*.l1d"``, ``"dram.ch*"``), in snapshot order."""
+    return [values for group, values in counters.items()
+            if fnmatchcase(group, pattern)]
+
+
+def sum_counters(counters: Counters, pattern: str,
+                 names: Iterable[str]) -> Dict[str, int]:
+    """Sum each counter in ``names`` over the groups matching ``pattern``.
+
+    Every result summary is built this way from one snapshot, so a
+    summary of per-epoch deltas is the same call on a delta snapshot.
+    """
+    groups = counter_groups(counters, pattern)
+    return {name: sum(values[name] for values in groups) for name in names}
 
 
 @dataclass
@@ -102,9 +126,9 @@ class PrefetchStats:
     def consistency_errors(self) -> List[str]:
         """Structural violations in the counters (sanitizer final check).
 
-        ``useful`` may legitimately exceed ``issued`` (late-prefetch
-        merges count as useful without a new issue), so only the
-        relations that always hold are checked.
+        Every candidate is issued or dropped exactly once.  ``useful``
+        may legitimately exceed ``issued`` (late-prefetch merges count
+        as useful without a new issue), so only ``late`` bounds it.
         """
         errors = []
         for name in ("candidates", "issued", "dropped_filter",
@@ -113,12 +137,11 @@ class PrefetchStats:
             if getattr(self, name) < 0:
                 errors.append(f"{name} is negative "
                               f"({getattr(self, name)})")
-        dropped = (self.dropped_filter + self.dropped_duplicate
-                   + self.dropped_mshr)
-        if dropped > self.candidates:
-            # Every drop comes out of the candidate pool exactly once.
+        fates = (self.issued + self.dropped_filter
+                 + self.dropped_duplicate + self.dropped_mshr)
+        if fates != self.candidates:
             errors.append(
-                f"drops ({dropped}) exceed candidates "
+                f"issued + drops ({fates}) != candidates "
                 f"({self.candidates})")
         if self.late > self.useful:
             errors.append(f"late ({self.late}) exceeds useful "
@@ -192,11 +215,13 @@ class SimulationResult:
     #: Per-component counter snapshot (``repro.sim.counters``):
     #: ``{group: {counter: value}}``, one group per hierarchy component
     #: (``core{N}.l1d``, ``core{N}.l2``, ``core{N}.chain``,
-    #: ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).
-    counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).  The counted fields
+    #: of ``levels``, ``prefetch``, ``dram``, ``noc`` and ``clip`` are
+    #: sums over it (:func:`sum_counters`).
+    counters: Counters = field(default_factory=dict)
     #: Counter-driven dynamic energy (``repro.energy``): total, by
     #: component, and the energy-delay product at the configured core
-    #: frequency.  Zero/empty when the result predates the counter layer.
+    #: frequency.
     energy_mj: float = 0.0
     edp_mj_s: float = 0.0
     energy_breakdown_mj: Dict[str, float] = field(default_factory=dict)
@@ -262,11 +287,10 @@ class SimulationResult:
             total_cycles=data["total_cycles"],
             branch_accuracy=data["branch_accuracy"],
             counters={group: dict(values)
-                      for group, values in
-                      data.get("counters", {}).items()},
-            energy_mj=data.get("energy_mj", 0.0),
-            edp_mj_s=data.get("edp_mj_s", 0.0),
-            energy_breakdown_mj=dict(data.get("energy_breakdown_mj", {})),
+                      for group, values in data["counters"].items()},
+            energy_mj=data["energy_mj"],
+            edp_mj_s=data["edp_mj_s"],
+            energy_breakdown_mj=dict(data["energy_breakdown_mj"]),
         )
 
 
@@ -274,7 +298,9 @@ def weighted_speedup(result: SimulationResult,
                      baseline: SimulationResult) -> float:
     """Weighted speedup of ``result`` over ``baseline`` (same channels).
 
-    Normalised so a system identical to the baseline scores 1.0.
+    Normalised so a system identical to the baseline scores 1.0.  Cores
+    pair by position, so both results must have run the same workloads
+    in the same order.
     """
     if len(result.cores) != len(baseline.cores):
         raise ValueError("core counts differ between result and baseline")
@@ -282,6 +308,10 @@ def weighted_speedup(result: SimulationResult,
         raise ValueError("empty results")
     total = 0.0
     for mine, theirs in zip(result.cores, baseline.cores):
+        if mine.workload != theirs.workload:
+            raise ValueError(
+                f"core {mine.core_id} ran {mine.workload!r} but the "
+                f"baseline's core {theirs.core_id} ran {theirs.workload!r}")
         if theirs.ipc <= 0:
             raise ValueError(f"baseline core {theirs.core_id} has zero IPC")
         total += mine.ipc / theirs.ipc

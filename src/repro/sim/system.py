@@ -29,9 +29,10 @@ from repro.noc.mesh import MeshNoc
 from repro.sim.engine import Engine
 from repro.sim.hierarchy import CoreNode, Hierarchy
 from repro.sim.tracing import RequestTrace
-from repro.sim.stats import (ClipResult, CoreResult, CriticalityResult,
-                             DramResult, LevelStats, NocResult,
-                             PrefetchStats, SimulationResult)
+from repro.sim.stats import (ClipResult, CoreResult, Counters,
+                             CriticalityResult, DramResult, LevelStats,
+                             NocResult, PrefetchStats, SimulationResult,
+                             counter_groups, sum_counters)
 from repro.trace.record import TraceRecord
 from repro.trace.synthetic import SyntheticWorkload
 from repro.trace.workloads import get_workload
@@ -69,6 +70,17 @@ _TRACE_CACHE: "OrderedDict[Tuple, CachedTrace]" = OrderedDict()
 _TRACE_CACHE_ENTRIES = 128
 
 
+#: Cache-level summaries, summed over the counter snapshot: (level,
+#: group pattern, ``ServiceLevel`` whose demand-miss latency the level
+#: owns), and the counters each level sums.
+_LEVELS = (("L1D", "core*.l1d", ServiceLevel.L1),
+           ("L2", "core*.l2", ServiceLevel.L2),
+           ("LLC", "llc.slice*", ServiceLevel.LLC))
+_LEVEL_COUNTERS = ("demand_accesses", "demand_hits", "demand_misses",
+                   "prefetch_fills", "useful_prefetches",
+                   "useless_evictions")
+
+
 def _workload_trace(name: str, length: int, core_id: int) -> CachedTrace:
     spec = get_workload(name)
     key = (name, repr(spec), core_id, length)
@@ -100,13 +112,11 @@ class MulticoreSystem:
         self.noc = MeshNoc(config.mesh_dim, config.noc)
         self.dram = DramSystem(config.dram, self.engine,
                                config.l1d.line_size)
-        self.prefetch_stats = PrefetchStats()
         self.request_trace: Optional[RequestTrace] = (
             RequestTrace(config.capture_request_trace)
             if config.capture_request_trace else None)
         self.hierarchy = Hierarchy(config, self.engine, self.noc,
-                                   self.dram, self.prefetch_stats,
-                                   self.request_trace)
+                                   self.dram, self.request_trace)
         self.cores: List[Core] = []
         self._build_cores()
         # Opt-in runtime invariant sanitizer: the guard is evaluated once
@@ -183,7 +193,15 @@ class MulticoreSystem:
         return self._collect(final_cycle)
 
     def _collect(self, final_cycle: int) -> SimulationResult:
-        result = SimulationResult(config_label=self.label)
+        """Build the result from one counter snapshot.
+
+        Every counted summary field is a sum over the snapshot; only
+        what no counter holds (latency sums, candidate and late counts,
+        CLIP's prediction census) is read from the components.
+        """
+        counters = self.hierarchy.counters.snapshot()
+        result = SimulationResult(config_label=self.label,
+                                  counters=counters)
         result.total_cycles = final_cycle
         for core, name in zip(self.cores, self.workload_names):
             s = core.stats
@@ -201,19 +219,25 @@ class MulticoreSystem:
                           for c in self.cores)
         result.branch_accuracy = (1.0 - mispredicts / predictions
                                   if predictions else 1.0)
-        result.levels = self._collect_levels()
-        result.prefetch = self.prefetch_stats
-        result.dram = self._collect_dram(final_cycle)
+        result.levels = {
+            name: LevelStats(
+                name, **sum_counters(counters, pattern, _LEVEL_COUNTERS),
+                miss_latency_sum=sum(n.lat_sum[level] for n in self.nodes),
+                miss_latency_count=sum(n.lat_count[level]
+                                       for n in self.nodes))
+            for name, pattern, level in _LEVELS}
+        result.prefetch = self.prefetch_summary(counters)
+        result.dram = self._dram_summary(counters, final_cycle)
+        noc = sum_counters(counters, "noc", ("packets", "flits",
+                                             "total_hops", "flit_hops"))
         result.noc = NocResult(
-            packets=self.noc.stats.packets, flits=self.noc.stats.flits,
-            average_latency=self.noc.stats.average_latency,
-            total_hops=self.noc.stats.total_hops,
-            flit_hops=self.noc.stats.flit_hops)
+            **noc, average_latency=(self.noc.stats.total_latency
+                                    / noc["packets"]
+                                    if noc["packets"] else 0.0))
         if self.config.clip.enabled:
-            result.clip = self._collect_clip()
+            result.clip = self._collect_clip(counters)
         if self.config.criticality.name != "none":
             result.criticality = self._collect_criticality()
-        result.counters = self.hierarchy.counters.snapshot()
         self._attach_energy(result)
         return result
 
@@ -230,52 +254,49 @@ class MulticoreSystem:
                                          * 1e9)
         result.edp_mj_s = result.energy_mj * delay_s
 
-    def _collect_levels(self) -> Dict[str, LevelStats]:
-        levels = {
-            "L1D": LevelStats("L1D"),
-            "L2": LevelStats("L2"),
-            "LLC": LevelStats("LLC"),
-        }
-        for node in self.nodes:
-            for name, cache in (("L1D", node.l1d), ("L2", node.l2_cache)):
-                level = levels[name]
-                level.demand_accesses += cache.stats.demand_accesses
-                level.demand_hits += cache.stats.demand_hits
-                level.demand_misses += cache.stats.demand_misses
-                level.prefetch_fills += cache.stats.prefetch_fills
-                level.useful_prefetches += cache.stats.useful_prefetches
-                level.useless_evictions += cache.stats.useless_evictions
-            for idx, lvl_name in ((ServiceLevel.L1, "L1D"),
-                                  (ServiceLevel.L2, "L2"),
-                                  (ServiceLevel.LLC, "LLC")):
-                levels[lvl_name].miss_latency_sum += node.lat_sum[idx]
-                levels[lvl_name].miss_latency_count += node.lat_count[idx]
-        llc_level = levels["LLC"]
-        for slice_cache in self.llc:
-            llc_level.demand_accesses += slice_cache.stats.demand_accesses
-            llc_level.demand_hits += slice_cache.stats.demand_hits
-            llc_level.demand_misses += slice_cache.stats.demand_misses
-            llc_level.prefetch_fills += slice_cache.stats.prefetch_fills
-            llc_level.useful_prefetches += \
-                slice_cache.stats.useful_prefetches
-            llc_level.useless_evictions += \
-                slice_cache.stats.useless_evictions
-        return levels
+    def prefetch_summary(self, counters: Counters) -> PrefetchStats:
+        """System-wide prefetch accounting from the per-core counters.
 
-    def _collect_dram(self, final_cycle: int) -> DramResult:
-        dram = DramResult()
-        for channel in self.dram.channels:
-            dram.reads += channel.stats.reads
-            dram.writes += channel.stats.writes
-            dram.prefetch_reads += channel.stats.prefetch_reads
-            dram.row_hits += channel.stats.row_hits
-            dram.row_misses += channel.stats.row_misses
-        dram.average_read_latency = self.dram.average_read_latency()
-        dram.utilization = self.dram.utilization(max(1, final_cycle))
-        return dram
+        The MSHR files count late merges; the nodes count candidates.
+        """
+        summed = sum_counters(counters, "core*.chain", (
+            "pf_issued", "pf_dropped_filter", "pf_dropped_duplicate",
+            "pf_dropped_mshr", "pf_useful"))
+        return PrefetchStats(
+            candidates=sum(n.pf_candidates for n in self.nodes),
+            issued=summed["pf_issued"],
+            dropped_filter=summed["pf_dropped_filter"],
+            dropped_duplicate=summed["pf_dropped_duplicate"],
+            dropped_mshr=summed["pf_dropped_mshr"],
+            useful=summed["pf_useful"],
+            late=sum(n.l1_mshr.late_prefetch_merges
+                     + n.l2_mshr.late_prefetch_merges for n in self.nodes))
 
-    def _collect_clip(self) -> ClipResult:
-        clip_result = ClipResult()
+    def _dram_summary(self, counters: Counters,
+                      final_cycle: int) -> DramResult:
+        channels = counter_groups(counters, "dram.ch*")
+        summed = sum_counters(counters, "dram.ch*", (
+            "reads", "writes", "prefetch_reads", "row_hits", "activates"))
+        elapsed = max(1, final_cycle)
+        latency_sum = sum(c.stats.total_read_latency
+                          for c in self.dram.channels)
+        return DramResult(
+            reads=summed["reads"], writes=summed["writes"],
+            prefetch_reads=summed["prefetch_reads"],
+            row_hits=summed["row_hits"], row_misses=summed["activates"],
+            average_read_latency=(latency_sum / summed["reads"]
+                                  if summed["reads"] else 0.0),
+            utilization=sum(min(1.0, ch["busy_cycles"] / elapsed)
+                            for ch in channels) / len(channels))
+
+    def _collect_clip(self, counters: Counters) -> ClipResult:
+        accesses = sum_counters(counters, "core*.chain", (
+            "clip_filter_accesses", "clip_predictor_accesses",
+            "clip_utility_cam_accesses"))
+        clip_result = ClipResult(
+            filter_accesses=accesses["clip_filter_accesses"],
+            predictor_accesses=accesses["clip_predictor_accesses"],
+            utility_cam_accesses=accesses["clip_utility_cam_accesses"])
         predicted = correct = actual = covered = 0
         for node in self.nodes:
             clip = node.clip
@@ -292,10 +313,6 @@ class MulticoreSystem:
             clip_result.dynamic_critical_ips += dynamic
             clip_result.windows += clip.stats.windows
             clip_result.phase_changes += clip.stats.phase_changes
-            clip_result.filter_accesses += clip.stats.filter_accesses
-            clip_result.predictor_accesses += clip.stats.predictor_accesses
-            clip_result.utility_cam_accesses += \
-                clip.stats.utility_cam_accesses
         clip_result.prediction_accuracy = (correct / predicted
                                            if predicted else 0.0)
         clip_result.prediction_coverage = (covered / actual

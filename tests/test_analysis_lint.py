@@ -32,6 +32,15 @@ def lint(source: str, rule, project: ProjectIndex | None = None):
     return lint_source(textwrap.dedent(source), [rule], project=project)
 
 
+@pytest.fixture(scope="session")
+def repo_report():
+    """One whole-program run over ``src/repro`` under the committed
+    baseline, shared by every test that inspects the repo gate."""
+    baseline = Baseline.load(REPO_ROOT / "analysis-baseline.toml")
+    return run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT,
+                    baseline=baseline)
+
+
 # ----------------------------------------------------------------------
 # SIM001 unseeded-rng
 # ----------------------------------------------------------------------
@@ -557,14 +566,11 @@ class TestBaseline:
 # ----------------------------------------------------------------------
 
 class TestRepoGate:
-    def test_repo_is_clean_under_baseline(self):
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.toml")
-        report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT,
-                          baseline=baseline)
-        assert report.checked_files > 50
-        messages = [v.format() for v in report.violations]
-        assert report.ok, "unbaselined lint violations:\n" + "\n".join(
-            messages)
+    def test_repo_is_clean_under_baseline(self, repo_report):
+        assert repo_report.checked_files > 50
+        messages = [v.format() for v in repo_report.violations]
+        assert repo_report.ok, (
+            "unbaselined lint violations:\n" + "\n".join(messages))
 
     def test_trace_modules_have_no_rng_or_default_findings(self):
         # Satellite check: the workload-generation modules thread seeded
@@ -771,13 +777,10 @@ class TestOutputFormats:
         assert all(r["suppressions"][0]["kind"] == "external"
                    for r in results)
 
-    def test_repo_sarif_is_well_formed(self):
+    def test_repo_sarif_is_well_formed(self, repo_report):
         # The exact artifact CI uploads parses and stays suppressed-only.
         from repro.analysis.report import render_sarif
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.toml")
-        report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT,
-                          baseline=baseline)
-        sarif = json.loads(render_sarif(report))
+        sarif = json.loads(render_sarif(repo_report))
         results = sarif["runs"][0]["results"]
         assert all("suppressions" in r for r in results)
 
@@ -796,24 +799,3 @@ class TestSelftestScript:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "self-test OK: all 12 rules fired" in proc.stdout
-
-
-# ----------------------------------------------------------------------
-# Retired module (repro.experiments.reporting)
-# ----------------------------------------------------------------------
-
-class TestReportingModuleRemoved:
-    def test_import_raises_with_migration_directions(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.experiments.reporting", None)
-        with pytest.raises(ImportError) as excinfo:
-            importlib.import_module("repro.experiments.reporting")
-        message = str(excinfo.value)
-        # The error must name every new home so the fix is mechanical.
-        assert "repro.experiments.statistics" in message
-        assert "repro.experiments.report" in message
-        assert "repro.api" in message
-        # A failed import must not leave a broken half-module cached.
-        assert sys.modules.get("repro.experiments.reporting") is None

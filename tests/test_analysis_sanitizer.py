@@ -277,9 +277,19 @@ class TestFinalCheck:
     def test_inconsistent_prefetch_stats_caught(self):
         system = tiny_system(sanitize=True)
         system.run()
-        stats = system.prefetch_stats
-        stats.dropped_filter = stats.candidates + 1
+        system.nodes[0].pf_useful = -1
         with pytest.raises(SimulationInvariantError, match="statistics"):
+            system.sanitizer.final_check(system)
+
+    def test_candidate_identity_caught(self):
+        # One uncounted fate: every bound the old check knew still
+        # holds (drops <= candidates, nothing negative), only the exact
+        # candidates == issued + drops identity breaks.
+        system = tiny_system(sanitize=True)
+        system.run()
+        system.nodes[1].pf_candidates += 1
+        with pytest.raises(SimulationInvariantError,
+                           match=r"issued \+ drops"):
             system.sanitizer.final_check(system)
 
 

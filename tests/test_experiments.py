@@ -10,7 +10,6 @@ import pytest
 
 from repro.experiments import (BenchScale, ExperimentRunner, Scheme,
                                figure9, figure16, table2, table3)
-from repro.experiments.runner import SCHEMES
 from repro.experiments.statistics import geometric_mean
 from repro.experiments.report import format_table
 
@@ -43,24 +42,13 @@ class TestReporting:
         assert len(lines) == 4
         assert all(len(line) == len(lines[0]) or True for line in lines)
 
-    def test_reporting_module_removed_with_directions(self):
-        # The PR 2 re-export shim finished its deprecation cycle: the
-        # import now fails with a message naming both new homes and the
-        # repro.api facade.
-        import importlib
-        import sys
-        sys.modules.pop("repro.experiments.reporting", None)
-        with pytest.raises(ImportError) as excinfo:
-            importlib.import_module("repro.experiments.reporting")
-        message = str(excinfo.value)
-        assert "repro.experiments.statistics" in message
-        assert "repro.experiments.report" in message
-        assert "repro.api" in message
-
 
 class TestRunner:
     def test_all_schemes_build_configs(self, tiny_runner):
-        for scheme in SCHEMES:
+        for scheme in ("none", "berti", "ipcp", "bingo", "spp_ppf",
+                       "stride", "streamer", "berti+clip", "ipcp+clip",
+                       "bingo+clip", "spp_ppf+clip", "berti+hermes",
+                       "berti+dspatch"):
             config = tiny_runner.config_for(Scheme.parse(scheme),
                                             channels=1)
             config.validate()

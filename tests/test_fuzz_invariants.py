@@ -81,6 +81,10 @@ def test_random_configurations_complete_cleanly(params):
     assert result.total_cycles > 0
     assert 0.0 <= result.prefetch.accuracy <= 1.0
     assert 0.0 <= result.dram.utilization <= 1.0
+    # Every prefetch candidate meets exactly one fate.
+    pf = result.prefetch
+    assert pf.candidates == (pf.issued + pf.dropped_filter
+                             + pf.dropped_duplicate + pf.dropped_mshr)
 
 
 #: The learned policies carry the most update-order-sensitive state in

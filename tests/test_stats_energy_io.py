@@ -10,9 +10,9 @@ import pytest
 from repro.config import (CacheConfig, ClipConfig, SystemConfig,
                           scaled_config)
 from repro.energy import dynamic_energy
-from repro.sim.stats import (ClipResult, CoreResult, DramResult,
-                             LevelStats, NocResult, PrefetchStats,
-                             SimulationResult, weighted_speedup)
+from repro.sim.stats import (CoreResult, LevelStats, PrefetchStats,
+                             SimulationResult, sum_counters,
+                             weighted_speedup)
 from repro.trace.io import load_trace, save_trace
 from repro.trace.synthetic import SyntheticWorkload
 from repro.trace.workloads import get_workload
@@ -58,6 +58,18 @@ class TestWeightedSpeedup:
         with pytest.raises(ValueError):
             weighted_speedup(SimulationResult("a"), SimulationResult("b"))
 
+    def test_workload_mismatch(self):
+        # Cores pair by position: a baseline that ran other workloads
+        # is not a reference for this result, whatever its IPC.
+        mine = _result([1.0, 1.0])
+        theirs = _result([0.5, 0.5])
+        for core, name in zip(mine.cores, ("605.mcf_s-1536B", "tc-14")):
+            core.workload = name
+        for core, name in zip(theirs.cores, ("619.lbm_s-2676B", "bfs-14")):
+            core.workload = name
+        with pytest.raises(ValueError, match="baseline's core 0"):
+            weighted_speedup(mine, theirs)
+
 
 class TestStatsProperties:
     def test_prefetch_accuracy_guards(self):
@@ -68,6 +80,13 @@ class TestStatsProperties:
         assert stats.accuracy == 0.8
         stats.late = 4
         assert stats.lateness == 0.5
+
+    def test_sum_counters_matches_group_pattern(self):
+        counters = {"core0.l1d": {"hits": 1, "misses": 2},
+                    "core1.l1d": {"hits": 3, "misses": 4},
+                    "core1.l2": {"hits": 100, "misses": 100}}
+        assert sum_counters(counters, "core*.l1d", ("hits", "misses")) \
+            == {"hits": 4, "misses": 6}
 
     def test_traffic_reduction(self):
         stats = PrefetchStats(candidates=100, issued=40)
@@ -86,14 +105,14 @@ class TestStatsProperties:
 class TestEnergyModel:
     def _loaded_result(self) -> SimulationResult:
         result = SimulationResult(config_label="e")
-        result.levels = {
-            "L1D": LevelStats("L1D", demand_accesses=10_000,
-                              prefetch_fills=500),
-            "L2": LevelStats("L2", demand_accesses=2_000),
-            "LLC": LevelStats("LLC", demand_accesses=800),
+        result.counters = {
+            "core0.l1d": {"demand_accesses": 10_000, "prefetch_fills": 500},
+            "core0.l2": {"demand_accesses": 2_000, "prefetch_fills": 0},
+            "core0.chain": {"pf_issued": 0},
+            "llc.slice0": {"demand_accesses": 800, "prefetch_fills": 0},
+            "noc": {"flit_hops": 12_000},
+            "dram.ch0": {"reads": 500, "writes": 100, "activates": 200},
         }
-        result.dram = DramResult(reads=500, writes=100, row_misses=200)
-        result.noc = NocResult(packets=600, flits=4000)
         return result
 
     def test_dram_dominates(self):
@@ -103,42 +122,27 @@ class TestEnergyModel:
 
     def test_clip_energy_is_small(self):
         base = dynamic_energy(self._loaded_result())
+        assert "CLIP" not in base.components_mj
         with_clip = self._loaded_result()
-        with_clip.clip = ClipResult(filter_accesses=10_000,
-                                    predictor_accesses=10_000,
-                                    utility_cam_accesses=5_000)
+        with_clip.counters["core0.chain"].update(
+            clip_filter_accesses=10_000, clip_predictor_accesses=10_000,
+            clip_utility_cam_accesses=5_000)
         overhead = dynamic_energy(with_clip).total_mj - base.total_mj
         assert 0 < overhead < 0.05 * base.total_mj
 
-    def test_clip_events_argument_is_a_deprecated_noop(self):
-        result = self._loaded_result()
-        base = dynamic_energy(result)
-        with pytest.warns(DeprecationWarning, match="clip_events"):
-            legacy = dynamic_energy(result, clip_events=10_000)
-        # Ignored, not applied: CLIP activity comes from the result's
-        # own counters, and this result has none.
-        assert legacy.total_mj == base.total_mj
-        assert "CLIP" not in legacy.components_mj
-
     def test_counter_driven_when_counters_present(self):
-        result = self._loaded_result()
-        legacy = dynamic_energy(result)
-        result.counters = {
-            "core0.l1d": {"demand_accesses": 10_000, "prefetch_fills": 500},
-            "core0.l2": {"demand_accesses": 2_000, "prefetch_fills": 0},
-            "llc.slice0": {"demand_accesses": 800, "prefetch_fills": 0},
-            # Exact flit-hops, not flits x LEGACY_MEAN_HOPS.
-            "noc": {"flit_hops": 20_000},
-            "dram.ch0": {"reads": 500, "writes": 100, "activates": 200},
-        }
-        counter = dynamic_energy(result)
-        # SRAM and DRAM components agree with the legacy estimate...
-        for name in ("L1D", "L2", "LLC", "DRAM"):
-            assert counter.components_mj[name] == pytest.approx(
-                legacy.components_mj[name])
-        # ...but the NoC uses the measured hop count (20k != 4000 x 3).
-        assert counter.components_mj["NoC"] != pytest.approx(
-            legacy.components_mj["NoC"])
+        # Each component is priced exactly from its counters; the NoC
+        # charges measured flit-hops, not a flits x hops estimate.
+        mj = dynamic_energy(self._loaded_result()).components_mj
+        assert mj["L1D"] == pytest.approx(10_500 * 12.0 / 1e9)
+        assert mj["LLC"] == pytest.approx(800 * 90.0 / 1e9)
+        assert mj["NoC"] == pytest.approx(12_000 * 4.0 / 1e9)
+        assert mj["DRAM"] == pytest.approx(
+            (500 * 15_000.0 + 100 * 15_500.0 + 200 * 9_000.0) / 1e9)
+
+    def test_counter_less_result_raises(self):
+        with pytest.raises(ValueError, match="no counter snapshot"):
+            dynamic_energy(SimulationResult(config_label="bare"))
 
     def test_total_is_sum(self):
         breakdown = dynamic_energy(self._loaded_result())
@@ -148,7 +152,7 @@ class TestEnergyModel:
     def test_fewer_dram_accesses_less_energy(self):
         heavy = self._loaded_result()
         light = self._loaded_result()
-        light.dram.reads //= 2
+        light.counters["dram.ch0"]["reads"] //= 2
         assert dynamic_energy(light).total_mj \
             < dynamic_energy(heavy).total_mj
 
