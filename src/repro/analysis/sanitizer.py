@@ -4,7 +4,9 @@ Opt-in via ``REPRO_SANITIZE=1`` in the environment or
 ``SystemConfig.sanitize = True``.  When enabled, :func:`install_sanitizer`
 wraps the *instances* of the hot components with checking shims:
 
-* ``Engine.schedule`` / event drain -- integral, monotonic time;
+* ``Engine.schedule`` / event drain -- integral, monotonic time; every
+  hierarchy ``Port`` (which binds the engine's ``schedule`` when it is
+  built) is re-pointed at the checking shim;
 * ``MshrFile`` allocate/merge/release -- occupancy never exceeds the
   Table-3 bound, no duplicate or phantom entries;
 * ``Cache.fill`` / ``invalidate`` -- set occupancy <= associativity and
@@ -359,6 +361,10 @@ def install_sanitizer(system: Any) -> Sanitizer:
     """
     sanitizer = Sanitizer()
     sanitizer.wrap_engine(system.engine)
+    # A hierarchy port binds engine.schedule when it is built, so it
+    # would bypass the shim: point every port at the wrapped method.
+    for port in system.hierarchy.ports():
+        port.schedule = system.engine.schedule
     sanitizer.wrap_noc(system.noc)
     for channel in system.dram.channels:
         sanitizer.wrap_dram_channel(channel)

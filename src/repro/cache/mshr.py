@@ -63,14 +63,17 @@ class MshrFile:
 
     def allocate(self, line: int, is_prefetch: bool, crit: bool,
                  trigger_ip: int, now: int) -> Mshr:
-        if line in self.entries:
+        entries = self.entries
+        if line in entries:
             raise ValueError(f"line {line:#x} already outstanding")
-        if self.full:
+        occupancy = len(entries)
+        if occupancy >= self.capacity:
             raise SimulationInvariantError(
                 "MSHR file full; caller must check first")
         mshr = Mshr(line, is_prefetch, crit, trigger_ip, now)
-        self.entries[line] = mshr
-        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        entries[line] = mshr
+        if occupancy >= self.peak_occupancy:
+            self.peak_occupancy = occupancy + 1
         return mshr
 
     def merge(self, mshr: Mshr, waiter: Optional[Callable],

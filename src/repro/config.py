@@ -35,6 +35,20 @@ class CoreConfig:
     alu_latency: int = 1
 
 
+def _check_core_bounds(core: CoreConfig, where: str) -> None:
+    """Reject core parameters that hang or corrupt a run: a zero retire
+    width never retires, a zero-entry ROB deadlocks, and a latency or
+    penalty below its floor moves completions backwards in time."""
+    for name in ("issue_width", "retire_width", "rob_entries",
+                 "alu_latency"):
+        value = getattr(core, name)
+        if value < 1:
+            raise ValueError(f"{where}: {name} must be >= 1, got {value}")
+    if core.mispredict_penalty < 0:
+        raise ValueError(f"{where}: mispredict_penalty must be >= 0, "
+                         f"got {core.mispredict_penalty}")
+
+
 def little_core(frequency_ghz: float = 4.0) -> CoreConfig:
     """An efficiency ("little") core: half-width issue, quarter ROB.
 
@@ -398,6 +412,7 @@ class SystemConfig:
             raise ValueError("num_cores must be positive")
         if self.dram.channels < 1:
             raise ValueError("at least one DRAM channel is required")
+        _check_core_bounds(self.core, "core")
         if self.core.retire_width > self.core.issue_width:
             raise ValueError("retire width wider than issue width")
         for core_id, override in self.core_overrides.items():
@@ -405,6 +420,7 @@ class SystemConfig:
                 raise ValueError(
                     f"core override for core {core_id} outside "
                     f"[0, {self.num_cores})")
+            _check_core_bounds(override, f"core {core_id}")
             if override.retire_width > override.issue_width:
                 raise ValueError(
                     f"core {core_id}: retire width wider than issue width")

@@ -120,6 +120,8 @@ class Core:
         self.config = config
         self.trace = trace
         self._trace_len = len(trace)
+        #: This core's memory port (its L1 node): ``issue_load(address,
+        #: ip, cycle, callback)`` and ``issue_store(address, ip, cycle)``.
         self.memory = memory
         self.engine = engine
         #: Instructions retired before statistics start counting.
@@ -151,6 +153,10 @@ class Core:
         self.branch_hooks: List[Callable] = []
         self.load_response_hooks: List[Callable] = []
         self.load_issue_hooks: List[Callable] = []
+        # Bound once: the engine event and the memory callback of every
+        # load would otherwise each build a fresh bound method.
+        self._issue_load_cb = self._issue_load
+        self._load_response_cb = self._on_load_response
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -331,15 +337,14 @@ class Core:
         op = entry.op
         if op == _OP_LOAD:
             if start > self.engine.now:
-                self.engine.schedule(start, self._issue_load, entry)
+                self.engine.schedule(start, self._issue_load_cb, entry)
             else:
                 self._issue_load(entry)
         elif op == _OP_STORE:
             # Stores commit through the store buffer; the write itself is
             # fire-and-forget into the hierarchy.
             self._set_done(entry, start + 1)
-            self.memory.issue_store(self.core_id, entry.address, entry.ip,
-                                    start)
+            self.memory.issue_store(entry.address, entry.ip, start)
         elif op == _OP_BRANCH:
             self._set_done(entry, start + 1)
         else:
@@ -351,26 +356,27 @@ class Core:
         entry.mlp_at_issue = self.outstanding_loads
         for hook in self.load_issue_hooks:
             hook(self, entry, cycle)
-        self.memory.issue_load(
-            self.core_id, entry.address, entry.ip, cycle,
-            partial(self._on_load_response, entry))
+        self.memory.issue_load(entry.address, entry.ip, cycle,
+                               partial(self._load_response_cb, entry))
 
     def _on_load_response(self, entry: RobEntry, cycle: int,
                           level: ServiceLevel) -> None:
         self.outstanding_loads -= 1
-        entry.service_level = (level if level.__class__ is ServiceLevel
-                               else ServiceLevel(level))
-        # Two stall signals: the paper's hardware mechanism checks the
-        # *global* ROB-stall flag when a response returns (section 4.1);
-        # ground truth for criticality is whether *this* load is the
-        # blocked ROB head (it stalled retirement itself).
-        rob_stalled = self._rob_stalled(cycle)
-        self_stalled = bool(
-            self.rob and self.rob[0] is entry
-            and entry.became_head_at is not None
-            and entry.became_head_at < cycle)
-        for hook in self.load_response_hooks:
-            hook(self, entry, cycle, rob_stalled, self_stalled)
+        entry.service_level = level
+        hooks = self.load_response_hooks
+        if hooks:
+            # Two stall signals: the paper's hardware mechanism checks
+            # the *global* ROB-stall flag when a response returns
+            # (section 4.1); ground truth for criticality is whether
+            # *this* load is the blocked ROB head (it stalled retirement
+            # itself).
+            rob_stalled = self._rob_stalled(cycle)
+            self_stalled = bool(
+                self.rob and self.rob[0] is entry
+                and entry.became_head_at is not None
+                and entry.became_head_at < cycle)
+            for hook in hooks:
+                hook(self, entry, cycle, rob_stalled, self_stalled)
         self._set_done(entry, cycle)
 
     def _rob_stalled(self, cycle: int) -> bool:

@@ -47,8 +47,7 @@ class DramPort:
 
     def read(self, line: int, now: int, callback: Callable[[int], None],
              is_prefetch: bool, crit: bool) -> None:
-        self.dram.read(line, now, callback, is_prefetch=is_prefetch,
-                       crit=crit)
+        self.dram.read(line, now, callback, is_prefetch, crit)
 
     def write(self, line: int, now: int) -> None:
         self.dram.write(line, now)

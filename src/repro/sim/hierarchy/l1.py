@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 from repro.cache.cache import Cache
 from repro.cpu.core_model import ServiceLevel
 from repro.prefetch.base import PrefetchRequest
-from repro.sim.hierarchy.messages import MemoryRequest, privatize
+from repro.sim.hierarchy.messages import (CORE_SPACE_SHIFT, LINE_SHIFT,
+                                          MemoryRequest)
 from repro.sim.hierarchy.port import Port
 from repro.sim.tracing import RequestRecord, RequestTrace
 
@@ -29,7 +30,6 @@ if TYPE_CHECKING:
 #: Enum member lookups are attribute loads on the metaclass -- hoisted
 #: once, they cost a plain global load on the hit path.
 _LEVEL_L1 = ServiceLevel.L1
-_LEVEL_DRAM = ServiceLevel.DRAM
 
 
 class L1Node:
@@ -37,7 +37,7 @@ class L1Node:
 
     __slots__ = ("node", "core_id", "cache", "port", "prefetcher",
                  "latency", "mmu", "clip", "hermes", "hermes_pending",
-                 "trace", "downstream", "offchip", "slices")
+                 "trace", "space", "downstream", "offchip", "slices")
 
     def __init__(self, node: "CoreNode", cache: Cache, port: Port,
                  prefetcher, latency: int,
@@ -50,6 +50,10 @@ class L1Node:
         self.prefetcher = prefetcher
         self.latency = latency
         self.trace = trace
+        #: This core's private address-space bits: a byte address
+        #: ``a`` is line ``(a >> LINE_SHIFT) | space``, as
+        #: :func:`~repro.sim.hierarchy.messages.privatize` computes.
+        self.space = node.core_id << CORE_SPACE_SHIFT
         self.mmu = mmu
         self.clip = clip
         self.hermes = hermes
@@ -78,30 +82,27 @@ class L1Node:
     # ------------------------------------------------------------------
 
     def issue_load(self, address: int, ip: int, cycle: int,
-                   callback: Callable) -> None:
-        if self.mmu is not None:
+                   callback: Callable, translated: bool = False) -> None:
+        """Issue a demand load: ``callback(done, level)`` runs when the
+        data arrives.  With an MMU the load first waits out its
+        translation latency and re-enters with ``translated`` set."""
+        if self.mmu is not None and not translated:
             translation = self.mmu.translate(address)
             if translation:
-                # Re-enter after the TLB/page-walk latency has elapsed.
                 self.port.schedule(cycle + translation,
                                    self._load_after_translation,
                                    address, ip, callback)
                 return
-        self._load_translated(address, ip, cycle, callback)
-
-    def _load_after_translation(self, address: int, ip: int,
-                                callback: Callable) -> None:
-        self._load_translated(address, ip, self.port.now, callback)
-
-    def _load_translated(self, address: int, ip: int, cycle: int,
-                         callback: Callable) -> None:
         node = self.node
         chain = node.chain
         clip = self.clip
-        line = privatize(self.core_id, address)
+        line = (address >> LINE_SHIFT) | self.space
         if clip is not None:
             clip.on_l1d_access(line, cycle)
-        chain.note_demand_access(cycle)
+        # Epochs exist only with a policy or a throttler; without both
+        # note_demand_access would return at once.
+        if chain.policy is not None or chain.throttler is not None:
+            chain.note_demand_access(cycle)
         hit = self.cache.access(line, ip, cycle)
         prefetcher = self.prefetcher
         if prefetcher is not None:
@@ -130,30 +131,31 @@ class L1Node:
         if self.hermes is not None and self.hermes.predict_offchip(ip,
                                                                    address):
             self._hermes_launch(line, cycle)
-        self.request(
-            MemoryRequest(line=line, address=address, ip=ip,
-                          core_id=self.core_id, t0=cycle),
-            cycle, callback)
+        self.request(MemoryRequest(line, address, ip, self.core_id, False,
+                                   False, False, cycle),
+                     cycle, callback)
 
-    def issue_store(self, address: int, ip: int, cycle: int) -> None:
-        if self.mmu is not None:
+    def _load_after_translation(self, address: int, ip: int,
+                                callback: Callable) -> None:
+        self.issue_load(address, ip, self.port.now, callback, True)
+
+    def issue_store(self, address: int, ip: int, cycle: int,
+                    translated: bool = False) -> None:
+        """Issue a fire-and-forget store (write-allocate on a miss)."""
+        if self.mmu is not None and not translated:
             translation = self.mmu.translate(address)
             if translation:
                 self.port.schedule(cycle + translation,
                                    self._store_after_translation,
                                    address, ip)
                 return
-        self._store_translated(address, ip, cycle)
-
-    def _store_after_translation(self, address: int, ip: int) -> None:
-        self._store_translated(address, ip, self.port.now)
-
-    def _store_translated(self, address: int, ip: int, cycle: int) -> None:
         node = self.node
-        line = privatize(self.core_id, address)
+        line = (address >> LINE_SHIFT) | self.space
         if self.clip is not None:
             self.clip.on_l1d_access(line, cycle)
-        node.chain.note_demand_access(cycle)
+        chain = node.chain
+        if chain.policy is not None or chain.throttler is not None:
+            chain.note_demand_access(cycle)
         hit = self.cache.access(line, ip, cycle, is_write=True)
         if hit:
             return
@@ -161,10 +163,12 @@ class L1Node:
         if self.clip is not None:
             self.clip.on_l1d_miss(cycle)
         # Write-allocate: fetch the line (RFO) and fill it dirty.
-        self.request(
-            MemoryRequest(line=line, address=address, ip=ip,
-                          core_id=self.core_id, is_store=True, t0=cycle),
-            cycle, callback=None)
+        self.request(MemoryRequest(line, address, ip, self.core_id, False,
+                                   True, False, cycle),
+                     cycle, None)
+
+    def _store_after_translation(self, address: int, ip: int) -> None:
+        self.issue_store(address, ip, self.port.now, True)
 
     # ------------------------------------------------------------------
     # Hermes
@@ -182,8 +186,7 @@ class L1Node:
             return
         self.hermes_pending[line] = []
         self.offchip.read(line, cycle,
-                          lambda t: self._hermes_done(line, t),
-                          is_prefetch=False, crit=False)
+                          lambda t: self._hermes_done(line, t), False, False)
 
     def _hermes_done(self, line: int, t: int) -> None:
         waiters = self.hermes_pending.pop(line, [])
@@ -199,7 +202,7 @@ class L1Node:
     def issue_prefetch(self, request: PrefetchRequest, cycle: int,
                        crit: bool) -> None:
         node = self.node
-        line = privatize(self.core_id, request.address)
+        line = (request.address >> LINE_SHIFT) | self.space
         # CLIP-selected prefetches from an L1 prefetcher always fill to L1
         # (section 4.2: the requests are known critical and accurate);
         # otherwise the prefetcher's requested fill level stands.
@@ -208,29 +211,31 @@ class L1Node:
         else:
             fill_level = request.fill_level
         l2 = self.downstream
+        l1_mshr = self.port.mshr
+        l2_mshr = l2.port.mshr
         if (self.cache.probe(line) or l2.cache.probe(line)
-                or l2.port.lookup(line) is not None
-                or self.port.lookup(line) is not None):
+                or line in l2_mshr.entries or line in l1_mshr.entries):
             node.pf_dropped_duplicate += 1
             return
-        if fill_level == 1 and self.port.full:
+        if (fill_level == 1
+                and len(l1_mshr.entries) >= l1_mshr.capacity):
             # Demote to an L2 fill (Berti orchestrates fills across L1..L3;
             # a prefetch that cannot park at L1 still moves the line on
             # chip).
             fill_level = 2
-        if fill_level != 1 and l2.port.full:
+        if (fill_level != 1
+                and len(l2_mshr.entries) >= l2_mshr.capacity):
             node.pf_dropped_mshr += 1
             return
         node.pf_issued += 1
         if self.clip is not None:
             self.clip.on_prefetch_issued(line, request.trigger_ip)
-        req = MemoryRequest(line=line, address=request.address,
-                            ip=request.trigger_ip, core_id=self.core_id,
-                            is_prefetch=True, crit=crit, t0=cycle)
+        req = MemoryRequest(line, request.address, request.trigger_ip,
+                            self.core_id, True, False, crit, cycle)
         if fill_level == 1:
-            self.request(req, cycle, callback=None)
+            self.request(req, cycle, None)
         else:
-            l2.request(req, cycle, respond=None)
+            l2.request(req, cycle, None)
 
     # ------------------------------------------------------------------
     # Miss path
@@ -240,11 +245,12 @@ class L1Node:
                 callback: Optional[Callable]) -> None:
         """Handle an L1 miss (or L1-fill prefetch) for ``req.line``."""
         line = req.line
-        mshr = self.port.lookup(line)
+        mshr_file = self.port.mshr
+        mshr = mshr_file.entries.get(line)
         if mshr is not None:
             waiter = (callback, req.t0) if callback is not None else None
             was_late = mshr.is_prefetch and not mshr.demand_merged
-            self.port.merge(mshr, waiter, req.is_prefetch)
+            mshr_file.merge(mshr, waiter, req.is_prefetch)
             if was_late and not req.is_prefetch:
                 # Late but useful: the paper counts these as accurate
                 # (the MSHR file counts the late merge itself).
@@ -252,16 +258,16 @@ class L1Node:
             if req.is_store:
                 mshr.dirty = True
             return
-        if self.port.full:
+        if len(mshr_file.entries) >= mshr_file.capacity:
             if req.is_prefetch:
                 # Lost a race with demand allocations since the issue-time
                 # check; fall back to the L2 fill path.
-                self.downstream.request(req, cycle, respond=None)
+                self.downstream.request(req, cycle, None)
                 return
             self.port.defer(
                 lambda: self.request(req, self.port.now, callback))
             return
-        mshr = self.port.allocate(line, req.is_prefetch, req.crit, req.ip,
+        mshr = mshr_file.allocate(line, req.is_prefetch, req.crit, req.ip,
                                   cycle)
         mshr.address = req.address
         mshr.dirty = req.is_store
@@ -274,13 +280,14 @@ class L1Node:
         self.port.schedule(cycle + self.latency, self._forward_to_l2, req)
 
     def _forward_to_l2(self, req: MemoryRequest) -> None:
-        self.downstream.request(req, self.port.now, respond=self._complete)
+        self.downstream.request(req, self.port.engine.now, self._complete)
 
     def _complete(self, resp) -> None:
         """Fill from below: release the MSHR, fill the cache, wake waiters."""
         node = self.node
         line, t, level = resp.line, resp.at, resp.level
-        mshr = self.port.release(line)
+        mshr_file = self.port.mshr
+        mshr = mshr_file.release(line)
         prefetch_fill = mshr.is_prefetch and not mshr.demand_merged
         evicted = self.cache.fill(line, mshr.trigger_ip, t,
                                   dirty=mshr.dirty, prefetch=prefetch_fill,
@@ -297,13 +304,14 @@ class L1Node:
             latency = t - t0
             if self.trace is not None:
                 self.trace.append(RequestRecord(
-                    self.core_id, mshr.address, t0, t, ServiceLevel(level),
+                    self.core_id, mshr.address, t0, t, level,
                     mshr.is_prefetch))
-            for lvl in range(_LEVEL_L1, min(level, _LEVEL_DRAM) + 1):
-                if lvl < level:
-                    # The load missed at lvl; its latency counts toward
-                    # lvl's demand miss latency (Fig. 3 accounting).
-                    node.lat_sum[lvl] += latency
-                    node.lat_count[lvl] += 1
+            for lvl in range(_LEVEL_L1, level):
+                # The load missed at every level above the one that
+                # serviced it; its latency counts toward each such
+                # level's demand miss latency (Fig. 3 accounting).
+                node.lat_sum[lvl] += latency
+                node.lat_count[lvl] += 1
             callback(t, level)
-        self.port.replay()
+        if mshr_file.pending:
+            self.port.replay()

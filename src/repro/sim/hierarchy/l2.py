@@ -31,7 +31,7 @@ class L2Node:
     """Per-core private L2 between the L1 node and the shared LLC."""
 
     __slots__ = ("node", "cache", "port", "prefetcher", "latency",
-                 "link", "slices", "slice_of")
+                 "link", "slices")
 
     def __init__(self, node: "CoreNode", cache: Cache, port: Port,
                  prefetcher, latency: int) -> None:
@@ -42,8 +42,8 @@ class L2Node:
         self.latency = latency
         # Wired after construction.
         self.link: NocLink
+        #: The shared LLC banks; line ``l`` lives in ``slices[l % n]``.
         self.slices: List["LlcSlice"]
-        self.slice_of: Callable[[int], int]
 
     def counters(self) -> Dict[str, int]:
         """This L2's counter group (``core{N}.l2``): cache activity."""
@@ -76,17 +76,17 @@ class L2Node:
                 self.port.schedule(done, respond,
                                    MemoryResponse(line, done, _LEVEL_L2))
             return
-        mshr = self.port.lookup(line)
+        mshr_file = self.port.mshr
+        mshr = mshr_file.entries.get(line)
         if mshr is not None:
-            waiter = respond
             was_late = mshr.is_prefetch and not mshr.demand_merged
-            self.port.merge(mshr, waiter, req.is_prefetch)
+            mshr_file.merge(mshr, respond, req.is_prefetch)
             if was_late and not req.is_prefetch:
                 # Late but useful: the paper counts these as accurate
                 # (the MSHR file counts the late merge itself).
                 node.pf_useful += 1
             return
-        if self.port.full:
+        if len(mshr_file.entries) >= mshr_file.capacity:
             # A prefetch holding no upstream MSHR (respond is None) may be
             # dropped; one that allocated an L1 MSHR must queue like a
             # demand, or the L1 entry would leak and deadlock its waiters.
@@ -98,7 +98,7 @@ class L2Node:
             self.port.defer(
                 lambda: self.request(req, self.port.now, respond))
             return
-        mshr = self.port.allocate(line, req.is_prefetch, req.crit, req.ip,
+        mshr = mshr_file.allocate(line, req.is_prefetch, req.crit, req.ip,
                                   cycle)
         mshr.address = req.address
         if respond is not None:
@@ -107,16 +107,17 @@ class L2Node:
 
     def _to_llc(self, req: MemoryRequest) -> None:
         """Cross the NoC to the line's LLC slice."""
-        now = self.port.now
-        slice_ = self.slices[self.slice_of(req.line)]
+        slices = self.slices
+        slice_ = slices[req.line % len(slices)]
         self.link.request(
-            self.node.core_id, slice_.slice_id, now, req.high_priority,
-            slice_.lookup, req, self.node)
+            self.node.core_id, slice_.slice_id, self.port.engine.now,
+            req.high_priority, slice_.lookup, req, self.node)
 
     def complete(self, resp: MemoryResponse) -> None:
         """Fill from the LLC side: release, fill, wake response callbacks."""
         line, t = resp.line, resp.at
-        mshr = self.port.release(line)
+        mshr_file = self.port.mshr
+        mshr = mshr_file.release(line)
         prefetch_fill = mshr.is_prefetch and not mshr.demand_merged
         evicted = self.cache.fill(line, mshr.trigger_ip, t,
                                   prefetch=prefetch_fill,
@@ -125,10 +126,11 @@ class L2Node:
             self._writeback(evicted.line, t)
         for waiter in mshr.waiters:
             waiter(resp)
-        self.port.replay()
+        if mshr_file.pending:
+            self.port.replay()
 
     def _writeback(self, line: int, t: int) -> None:
-        slice_id = self.slice_of(line)
+        slice_id = line % len(self.slices)
         # Fire-and-forget data packet occupying NoC links (low priority).
         self.link.data(self.node.core_id, slice_id, t, high_priority=False)
         self.slices[slice_id].fill(line, t, pc=0, prefetch=False,

@@ -1,14 +1,17 @@
 """Shared LLC slice: cache bank + MSHR port + DRAM-side traffic.
 
 Each slice owns ``1/num_slices`` of the shared LLC.  Lines are mapped
-slice-local before touching the bank (the slice-selection bits are
-stripped so the set index uses fresh bits); dirty victims reconstruct
-the global line address before the DRAM write.  Responses travel back
-to the requesting core's L2 node as data packets over the NoC.
+slice-local (``line // num_slices``) before touching the bank: the
+slice-selection bits are stripped so the set index uses fresh bits
+(otherwise only 1 in ``num_slices`` of each slice's sets would ever be
+used).  Dirty victims reconstruct the global line address before the
+DRAM write.  Responses travel back to the requesting core's L2 node as
+data packets over the NoC.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, TYPE_CHECKING
 
 from repro.cache.cache import Cache
@@ -55,18 +58,14 @@ class LlcSlice:
             "writebacks": stats.writebacks,
         }
 
-    def _local(self, line: int) -> int:
-        """Slice-local line address: the slice-selection bits are stripped
-        so the slice's set index uses fresh bits (otherwise only 1-in-
-        num_slices of each slice's sets would ever be used)."""
-        return line // self.num_slices
-
     def lookup(self, req: MemoryRequest, origin: "CoreNode") -> None:
         """Serve ``req`` for ``origin``'s L2: hit, merge, or go to DRAM."""
-        now = self.port.now
+        now = self.port.engine.now
         line = req.line
         high = req.high_priority
-        hit = self.cache.access(self._local(line), req.ip, now,
+        # The bank is indexed by the slice-local line (see the module
+        # docstring): ``line // num_slices``.
+        hit = self.cache.access(line // self.num_slices, req.ip, now,
                                 is_demand=not req.is_prefetch)
         if hit:
             ready = now + self.latency
@@ -80,19 +79,20 @@ class LlcSlice:
                                             max(t, now + self.latency),
                                             high, _LEVEL_DRAM))
             return
-        mshr = self.port.lookup(line)
+        mshr_file = self.port.mshr
+        mshr = mshr_file.entries.get(line)
         # DRAM-side waiters are stored as plain (origin, high) pairs --
         # :meth:`_dram_done` knows how to route them -- so the hot miss
         # path allocates no closures.
         if mshr is not None:
-            self.port.merge(mshr, (origin, high), req.is_prefetch)
+            mshr_file.merge(mshr, (origin, high), req.is_prefetch)
             return
-        if self.port.full:
+        if len(mshr_file.entries) >= mshr_file.capacity:
             # Every request reaching the LLC holds an L2 MSHR upstream, so
             # nothing may be dropped here -- queue until a register frees.
             self.port.defer(lambda: self.lookup(req, origin))
             return
-        mshr = self.port.allocate(line, req.is_prefetch, req.crit, req.ip,
+        mshr = mshr_file.allocate(line, req.is_prefetch, req.crit, req.ip,
                                   now)
         mshr.waiters.append((origin, high))
         ready = now + self.latency
@@ -101,23 +101,26 @@ class LlcSlice:
 
     def _issue_dram_read(self, line: int, is_prefetch: bool,
                          crit: bool) -> None:
-        self.dram.read(line, self.port.now,
-                       lambda t: self._dram_done(line, t),
-                       is_prefetch=is_prefetch, crit=crit)
+        self.dram.read(line, self.port.engine.now,
+                       partial(self._dram_done, line), is_prefetch, crit)
 
     def _dram_done(self, line: int, t: int) -> None:
-        mshr = self.port.release(line)
+        mshr_file = self.port.mshr
+        mshr = mshr_file.release(line)
         prefetch_fill = mshr.is_prefetch and not mshr.demand_merged
         self.fill(line, t, pc=mshr.trigger_ip, prefetch=prefetch_fill)
         for origin, high in mshr.waiters:
-            self._return_data(origin, line, t, high, _LEVEL_DRAM)
-        self.port.replay()
+            # What _return_data does, one call fewer per waiter.
+            self.link.data(self.slice_id, origin.core_id, t, high,
+                           self._deliver, origin, line, _LEVEL_DRAM)
+        if mshr_file.pending:
+            self.port.replay()
 
     def fill(self, line: int, t: int, pc: int, prefetch: bool,
              dirty: bool = False) -> None:
         """Install ``line`` into the bank; dirty victims write to DRAM."""
-        evicted = self.cache.fill(self._local(line), pc, t, dirty=dirty,
-                                  prefetch=prefetch)
+        evicted = self.cache.fill(line // self.num_slices, pc, t,
+                                  dirty=dirty, prefetch=prefetch)
         if evicted is not None and evicted.dirty:
             # Reconstruct the global line address from the slice-local one.
             victim_line = evicted.line * self.num_slices + self.slice_id
@@ -131,4 +134,5 @@ class LlcSlice:
     def _deliver(self, origin: "CoreNode", line: int,
                  level: ServiceLevel) -> None:
         """Arrival handler: hand the fill to the origin core's L2."""
-        origin.l2.complete(MemoryResponse(line, self.port.now, level))
+        origin.l2.complete(
+            MemoryResponse(line, self.port.engine.now, level))

@@ -5,6 +5,8 @@ it answers "when does this packet arrive".  :class:`NocLink` is the
 hierarchy-side adapter that turns an arrival time into a delivered
 message by scheduling the receiver's handler through a
 :class:`~repro.sim.hierarchy.port.Port` (never the engine directly).
+It calls ``MeshNoc.send`` itself with the packet's flit count, read
+from the mesh configuration once at construction.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from repro.sim.hierarchy.port import Port
 class NocLink:
     """Request/data packet transport between L2 nodes and LLC slices."""
 
-    __slots__ = ("noc", "port")
+    __slots__ = ("noc", "port", "request_flits", "data_flits")
 
     def __init__(self, noc: MeshNoc, port: Port) -> None:
         self.noc = noc
         self.port = port
+        self.request_flits = noc.config.address_packet_flits
+        self.data_flits = noc.config.data_packet_flits
 
     def counters(self) -> Dict[str, int]:
         """The mesh's counter group (``noc``), including exact flit-hops
@@ -40,8 +44,9 @@ class NocLink:
                 deliver: Callable[..., None], *args) -> None:
         """Send a single-flit request packet; run ``deliver(*args)`` on
         arrival."""
-        arrival = self.noc.send_request(src, dst, now, high_priority)
-        self.port.schedule(arrival, deliver, *args)
+        self.port.schedule(
+            self.noc.send(src, dst, now, self.request_flits, high_priority),
+            deliver, *args)
 
     def data(self, src: int, dst: int, now: int, high_priority: bool,
              deliver: Optional[Callable[..., None]] = None, *args) -> int:
@@ -51,7 +56,8 @@ class NocLink:
         forget writeback traffic); with it, ``deliver(*args)`` runs at
         arrival.
         """
-        arrival = self.noc.send_data(src, dst, now, high_priority)
+        arrival = self.noc.send(src, dst, now, self.data_flits,
+                                high_priority)
         if deliver is not None:
             self.port.schedule(arrival, deliver, *args)
         return arrival

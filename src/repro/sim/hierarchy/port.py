@@ -4,91 +4,74 @@ A :class:`Port` bundles the two things every hierarchy component needs
 and nothing else may touch directly:
 
 * **latency scheduling** against the shared :class:`~repro.sim.engine.
-  Engine` -- components call :meth:`Port.schedule`; lint rule SIM008
-  flags any hierarchy component calling ``engine.schedule`` itself, so
-  the engine-facing surface stays in one reviewable place;
-* **MSHR back-pressure** -- when the component's
-  :class:`~repro.cache.mshr.MshrFile` is full, requests are deferred
-  into its FIFO pending queue (:meth:`defer`) and replayed in order as
-  registers free up (:meth:`replay`).  This queueing is the mechanism
-  that inflates miss latency under bandwidth constraint (paper Fig. 3).
+  Engine` -- components call ``port.schedule``; lint rule SIM008 flags
+  any hierarchy component calling ``engine.schedule`` itself, so the
+  engine-facing surface stays in one reviewable place;
+* **MSHR back-pressure** -- components read their
+  :class:`~repro.cache.mshr.MshrFile` as ``port.mshr``.  When it is
+  full, requests are deferred into its FIFO pending queue
+  (:meth:`defer`) and replayed in order as registers free up
+  (:meth:`replay`).  This queueing is the mechanism that inflates miss
+  latency under bandwidth constraint (paper Fig. 3).
 
-The port intentionally resolves ``engine.schedule`` and the MSHR
-methods *dynamically* (attribute lookup per call): the runtime
-sanitizer (:mod:`repro.analysis.sanitizer`) installs its checking shims
-as instance attributes after wiring, and a port holding bound methods
-would silently bypass them.
+``port.schedule`` *is* the engine's ``schedule``, bound when the port is
+built, so a scheduled hop costs one frame.  The runtime sanitizer
+(:mod:`repro.analysis.sanitizer`) installs its checking shim on the
+engine after wiring and then re-points every hierarchy port at it, so a
+sanitized run still checks each schedule.  Components must therefore
+read ``self.port.schedule`` at call time, never cache it.  The MSHR
+methods the sanitizer wraps (``allocate``, ``merge``, ``release``) are
+likewise resolved on the ``MshrFile`` instance at each call.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.cache.mshr import Mshr, MshrFile
+from repro.cache.mshr import MshrFile
 from repro.sim.engine import Engine
+
+_NO_MSHR = "port has no MSHR file attached"
 
 
 class Port:
     """One component's engine access plus (optional) MSHR back-pressure."""
 
-    __slots__ = ("engine", "mshr")
+    __slots__ = ("engine", "mshr", "schedule")
 
     def __init__(self, engine: Engine,
                  mshr: Optional[MshrFile] = None) -> None:
         self.engine = engine
         self.mshr = mshr
-
-    # -- time ----------------------------------------------------------
+        #: ``schedule(cycle, callback, *args)`` runs ``callback(*args)``
+        #: at ``cycle``: the engine's own method, so a call is one frame.
+        self.schedule: Callable[..., None] = engine.schedule
 
     @property
     def now(self) -> int:
         return self.engine.now
 
-    def schedule(self, cycle: int, callback: Callable[..., None],
-                 *args) -> None:
-        """Run ``callback(*args)`` at ``cycle`` (the sanctioned latency
-        path).  Passing ``args`` through the engine's bucketed queue
-        keeps hot call sites closure-free."""
-        self.engine.schedule(cycle, callback, *args)
-
     # -- MSHR back-pressure --------------------------------------------
-
-    def _require_mshr(self) -> MshrFile:
-        mshr = self.mshr
-        if mshr is None:
-            raise TypeError("port has no MSHR file attached")
-        return mshr
-
-    @property
-    def full(self) -> bool:
-        return self._require_mshr().full
-
-    def lookup(self, line: int) -> Optional[Mshr]:
-        return self._require_mshr().lookup(line)
-
-    def allocate(self, line: int, is_prefetch: bool, crit: bool,
-                 trigger_ip: int, now: int) -> Mshr:
-        return self._require_mshr().allocate(line, is_prefetch, crit,
-                                             trigger_ip, now)
-
-    def merge(self, mshr: Mshr, waiter, is_prefetch: bool) -> None:
-        self._require_mshr().merge(mshr, waiter, is_prefetch)
-
-    def release(self, line: int) -> Mshr:
-        return self._require_mshr().release(line)
 
     def defer(self, thunk: Callable[[], None]) -> None:
         """Queue ``thunk`` until an MSHR register frees up (FIFO)."""
-        self._require_mshr().pending.append(thunk)
+        if self.mshr is None:
+            raise TypeError(_NO_MSHR)
+        self.mshr.pending.append(thunk)
 
     def replay(self) -> None:
         """Replay deferred requests in FIFO order while registers last.
 
-        A replayed request may re-fill the MSHR immediately; the loop
-        re-checks ``full`` before each pop so later entries keep their
-        place in line instead of being dropped or reordered.
+        Returns at once when nothing is pending; the components also
+        skip the call then, as they check ``mshr.pending`` after each
+        release.  A replayed request may re-fill the MSHR immediately;
+        the loop re-checks occupancy before each pop so later entries
+        keep their place in line instead of being dropped or reordered.
         """
-        mshr = self._require_mshr()
-        while mshr.pending and not mshr.full:
-            thunk = mshr.pending.popleft()
-            thunk()
+        mshr = self.mshr
+        if mshr is None:
+            raise TypeError(_NO_MSHR)
+        pending = mshr.pending
+        entries = mshr.entries
+        while pending and len(entries) < mshr.capacity:
+            pending.popleft()()

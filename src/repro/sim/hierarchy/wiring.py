@@ -4,15 +4,16 @@
 component graph -- per-core :class:`~repro.sim.hierarchy.node.CoreNode`
 (L1 node, L2 node, filter chain), shared :class:`~repro.sim.hierarchy.
 llc.LlcSlice` banks, one :class:`~repro.sim.hierarchy.noc_link.NocLink`
-and one :class:`~repro.sim.hierarchy.dram_port.DramPort` -- and exposes
-the core-facing memory interface (``issue_load`` / ``issue_store``).
+and one :class:`~repro.sim.hierarchy.dram_port.DramPort`.  Each core
+issues its loads and stores straight to its own
+:class:`~repro.sim.hierarchy.l1.L1Node` (``nodes[core_id].l1``).
 All mechanism objects are built here, fully, before any request flows.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.cache.cache import Cache
 from repro.cache.mshr import MshrFile
@@ -89,17 +90,14 @@ class Hierarchy:
     def slice_of(self, line: int) -> int:
         return line % self.num_slices
 
-    # ------------------------------------------------------------------
-    # Core-facing memory interface
-    # ------------------------------------------------------------------
-
-    def issue_load(self, core_id: int, address: int, ip: int, cycle: int,
-                   callback: Callable) -> None:
-        self.nodes[core_id].l1.issue_load(address, ip, cycle, callback)
-
-    def issue_store(self, core_id: int, address: int, ip: int,
-                    cycle: int) -> None:
-        self.nodes[core_id].l1.issue_store(address, ip, cycle)
+    def ports(self) -> List[Port]:
+        """Every port in the hierarchy: per core L1 then L2, each LLC
+        slice, and the NoC link's."""
+        ports = [port for node in self.nodes
+                 for port in (node.l1.port, node.l2.port)]
+        ports.extend(slice_.port for slice_ in self.slices)
+        ports.append(self.link.port)
+        return ports
 
     # ------------------------------------------------------------------
     # Construction
@@ -172,7 +170,6 @@ class Hierarchy:
         node.l1.slices = self.slices
         node.l2.link = self.link
         node.l2.slices = self.slices
-        node.l2.slice_of = self.slice_of
         chain.issue = node.l1.issue_prefetch
         self._wire_feedback(node)
         return node

@@ -170,7 +170,8 @@ class MulticoreSystem:
         for core_id, name in enumerate(self.workload_names):
             cached = _workload_trace(name, length, core_id)
             core = Core(core_id, config.core_for(core_id), cached.records,
-                        memory=self.hierarchy, engine=self.engine,
+                        memory=self.hierarchy.nodes[core_id].l1,
+                        engine=self.engine,
                         branch_predictor=HashedPerceptronPredictor(
                             config.branch),
                         warmup_instructions=config.warmup_instructions,

@@ -188,7 +188,7 @@ class TestEndToEndHarness:
         engine = Engine()
 
         class _Memory:
-            def issue_load(self, core_id, address, ip, cycle, callback):
+            def issue_load(self, address, ip, cycle, callback):
                 done = cycle + 80
                 engine.schedule(done,
                                 lambda: callback(done, ServiceLevel.DRAM))

@@ -146,12 +146,12 @@ class _ScriptedMemory:
         self.loads = []
         self.stores = []
 
-    def issue_load(self, core_id, address, ip, cycle, callback):
+    def issue_load(self, address, ip, cycle, callback):
         self.loads.append((address, cycle))
         done = cycle + self.latency
         self.engine.schedule(done, lambda: callback(done, self.level))
 
-    def issue_store(self, core_id, address, ip, cycle):
+    def issue_store(self, address, ip, cycle):
         self.stores.append((address, cycle))
 
 

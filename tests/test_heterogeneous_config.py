@@ -12,7 +12,7 @@ from repro.config import (CoreConfig, SystemConfig, big_little_overrides,
                           little_core, scaled_config)
 from repro.experiments.sweep import RunSpec, Scheme
 from repro.sim.stats import SimulationResult
-from repro.sim.system import run_system
+from repro.sim.system import MulticoreSystem, run_system
 
 MIX4 = ["605.mcf_s-1536B", "bfs-14", "619.lbm_s-2676B", "cloud9"]
 
@@ -66,6 +66,49 @@ class TestValidation:
         config.core_overrides = {1: little_core(frequency_ghz=3.0)}
         with pytest.raises(ValueError, match="frequencies must match"):
             config.validate()
+
+    # Each bad value below would hang a run (retire_width=0 wakes every
+    # cycle until max_cycles), deadlock it (rob_entries=0) or corrupt
+    # it silently; validate() must reject it before anything runs.
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["issue_width", "retire_width",
+                                       "rob_entries", "alu_latency"])
+    def test_base_core_field_below_one(self, field, value):
+        config = SystemConfig(num_cores=2)
+        config.core = dataclasses.replace(config.core, **{field: value})
+        with pytest.raises(ValueError, match=f"core: {field} must be >= 1"):
+            config.validate()
+
+    @pytest.mark.parametrize("field", ["issue_width", "retire_width",
+                                       "rob_entries", "alu_latency"])
+    def test_override_core_field_below_one(self, field):
+        config = SystemConfig(num_cores=4)
+        config.core_overrides = {
+            2: dataclasses.replace(little_core(), **{field: 0})}
+        with pytest.raises(ValueError,
+                           match=f"core 2: {field} must be >= 1"):
+            config.validate()
+
+    def test_negative_mispredict_penalty(self):
+        config = SystemConfig(num_cores=4)
+        config.core = dataclasses.replace(config.core,
+                                          mispredict_penalty=-5)
+        with pytest.raises(ValueError, match="core: mispredict_penalty"):
+            config.validate()
+        config.core = dataclasses.replace(config.core, mispredict_penalty=0)
+        config.validate()
+        config.core_overrides = {
+            3: dataclasses.replace(little_core(), mispredict_penalty=-1)}
+        with pytest.raises(ValueError, match="core 3: mispredict_penalty"):
+            config.validate()
+
+    def test_system_constructor_rejects_zero_retire_width(self):
+        config = scaled_config(num_cores=2, channels=1,
+                               sim_instructions=500)
+        config.core = dataclasses.replace(config.core, retire_width=0)
+        with pytest.raises(ValueError, match="retire_width must be >= 1"):
+            MulticoreSystem(config, MIX4[:2])
 
 
 class TestAtFrequency:

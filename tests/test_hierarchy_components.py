@@ -14,6 +14,7 @@ import dataclasses
 import pytest
 
 from repro import scaled_config
+from repro.analysis.invariants import SimulationInvariantError
 from repro.cache.mshr import MshrFile
 from repro.cpu.core_model import ServiceLevel
 from repro.dram.controller import DramSystem
@@ -22,6 +23,7 @@ from repro.prefetch.base import PrefetchRequest
 from repro.sim.engine import Engine
 from repro.sim.hierarchy import (Hierarchy, MemoryRequest, MemoryResponse,
                                  NocLink, Port, privatize)
+from repro.sim.system import MulticoreSystem
 
 
 def _config(cores=2, **kw):
@@ -48,14 +50,45 @@ def _hierarchy(cores=2, **kw):
 # ----------------------------------------------------------------------
 
 class TestPort:
-    def test_schedule_resolves_engine_dynamically(self):
-        # The sanitizer installs its shims as *instance* attributes after
-        # wiring; a port holding a bound method would bypass them.
-        engine = Engine()
-        seen = []
-        engine.schedule = lambda cycle, cb: seen.append(cycle)
-        Port(engine).schedule(7, lambda: None)
-        assert seen == [7]
+    def test_schedule_is_the_engine_method(self, monkeypatch):
+        # Unsanitized, a port's schedule is the engine's own bound
+        # method: one frame per scheduled hop, no forwarding layer.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        system = MulticoreSystem(_config(), ["605.mcf_s-1536B"] * 2)
+        ports = system.hierarchy.ports()
+        assert len(ports) == 2 * 2 + system.num_slices + 1
+        for port in ports:
+            assert port.schedule == system.engine.schedule
+
+    @pytest.mark.parametrize("enabled_by", ["config", "env"])
+    def test_sanitizer_checks_every_port_schedule(self, monkeypatch,
+                                                  enabled_by):
+        # Ports bind engine.schedule when built; the sanitizer must
+        # re-point each of them at its shim, or a sanitized run would
+        # schedule hierarchy events unchecked.  A non-integer cycle is
+        # what the bare engine accepts silently and only the shim
+        # rejects.
+        Engine().schedule(10.5, lambda: None)
+        config = _config()
+        if enabled_by == "config":
+            monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+            config.sanitize = True
+        else:
+            monkeypatch.setenv("REPRO_SANITIZE", "1")
+        system = MulticoreSystem(config, ["605.mcf_s-1536B"] * 2)
+        assert system.sanitizer is not None
+        hierarchy = system.hierarchy
+        ports = [(f"core{node.core_id}.{level}", layer.port)
+                 for node in hierarchy.nodes
+                 for level, layer in (("L1", node.l1), ("L2", node.l2))]
+        ports += [(f"LLC[{slice_.slice_id}]", slice_.port)
+                  for slice_ in hierarchy.slices]
+        ports.append(("NocLink", hierarchy.link.port))
+        for label, port in ports:
+            with pytest.raises(SimulationInvariantError,
+                               match="non-integer cycle"):
+                port.schedule(10.5, lambda: None)
+            assert system.engine.pending_events == 0, label
 
     def test_now_tracks_engine(self):
         engine = Engine()
@@ -66,18 +99,18 @@ class TestPort:
     def test_mshr_operations_require_mshr(self):
         port = Port(Engine())
         with pytest.raises(TypeError, match="no MSHR"):
-            port.full
+            port.replay()
         with pytest.raises(TypeError, match="no MSHR"):
             port.defer(lambda: None)
 
     def test_replay_is_fifo(self):
         port = Port(Engine(), MshrFile(1))
-        port.allocate(0xA, False, False, 0, 0)
+        port.mshr.allocate(0xA, False, False, 0, 0)
         order = []
         for tag in (1, 2, 3):
             port.defer(lambda tag=tag: order.append(tag))
-        assert port.full and order == []
-        port.release(0xA)
+        assert port.mshr.full and order == []
+        port.mshr.release(0xA)
         port.replay()
         assert order == [1, 2, 3]
 
@@ -89,21 +122,21 @@ class TestPort:
         order = []
 
         def retry(line):
-            if port.full:
+            if port.mshr.full:
                 port.defer(lambda: retry(line))
                 return
-            port.allocate(line, False, False, 0, 0)
+            port.mshr.allocate(line, False, False, 0, 0)
             order.append(line)
 
-        port.allocate(0xA, False, False, 0, 0)
+        port.mshr.allocate(0xA, False, False, 0, 0)
         for line in (1, 2, 3):
             retry(line)
         assert order == []
-        port.release(0xA)
+        port.mshr.release(0xA)
         port.replay()
         assert order == [1]  # register refilled; 2 and 3 keep their place
         for expect in ((2,), (2, 3)):
-            port.release(order[-1])
+            port.mshr.release(order[-1])
             port.replay()
             assert tuple(order[1:]) == expect
 
@@ -111,7 +144,7 @@ class TestPort:
         # A replayed thunk that must defer again goes to the *back*; the
         # queue itself is never reordered while full.
         port = Port(Engine(), MshrFile(1))
-        port.allocate(0xA, False, False, 0, 0)
+        port.mshr.allocate(0xA, False, False, 0, 0)
         popped = []
         port.defer(lambda: popped.append("first"))
         port.defer(lambda: popped.append("second"))
@@ -186,16 +219,17 @@ class TestL1Node:
         l1 = hierarchy.nodes[0].l1
         l1.cache.fill(privatize(0, 0x4000), 0, 0)
         results = []
-        hierarchy.issue_load(0, 0x4000, ip=0x11, cycle=0,
-                             callback=lambda t, lvl: results.append((t, lvl)))
+        l1.issue_load(0x4000, ip=0x11, cycle=0,
+                      callback=lambda t, lvl: results.append((t, lvl)))
         engine.run([])
         assert results == [(l1.latency, ServiceLevel.L1)]
 
     def test_cold_miss_travels_to_dram_and_back(self):
         hierarchy, engine = _hierarchy()
         results = []
-        hierarchy.issue_load(0, 0x4000, ip=0x11, cycle=0,
-                             callback=lambda t, lvl: results.append((t, lvl)))
+        hierarchy.nodes[0].l1.issue_load(
+            0x4000, ip=0x11, cycle=0,
+            callback=lambda t, lvl: results.append((t, lvl)))
         engine.run([])
         assert [lvl for _, lvl in results] == [ServiceLevel.DRAM]
         reads = sum(ch.stats.reads
@@ -208,13 +242,13 @@ class TestL1Node:
         node = hierarchy.nodes[0]
         port = node.l1.port
         for i in range(port.mshr.capacity):
-            port.allocate(0x9000 + i, False, False, 0, 0)
+            port.mshr.allocate(0x9000 + i, False, False, 0, 0)
         results = []
-        hierarchy.issue_load(0, 0x4000, ip=0x11, cycle=0,
-                             callback=lambda t, lvl: results.append(lvl))
+        node.l1.issue_load(0x4000, ip=0x11, cycle=0,
+                           callback=lambda t, lvl: results.append(lvl))
         assert len(port.mshr.pending) == 1 and results == []
         for i in range(port.mshr.capacity):
-            port.release(0x9000 + i)
+            port.mshr.release(0x9000 + i)
         port.replay()
         engine.run([])
         assert results == [ServiceLevel.DRAM]
@@ -235,7 +269,7 @@ class TestL2Node:
         node = hierarchy.nodes[0]
         l2 = node.l2
         for i in range(l2.port.mshr.capacity):
-            l2.port.allocate(0x9000 + i, False, False, 0, 0)
+            l2.port.mshr.allocate(0x9000 + i, False, False, 0, 0)
         node.pf_issued = 1
         req = MemoryRequest(line=privatize(0, 0x4000), address=0x4000,
                             ip=0x11, core_id=0, is_prefetch=True)
@@ -299,7 +333,7 @@ class TestLlcSlice:
         slice_ = hierarchy.slices[hierarchy.slice_of(line)]
         slice_.fill(line, 0, pc=0, prefetch=False)
         # Park an L2 MSHR entry so the returned data has a home.
-        mshr = origin.l2.port.allocate(line, False, False, 0x11, 0)
+        mshr = origin.l2.port.mshr.allocate(line, False, False, 0x11, 0)
         responses = []
         mshr.waiters.append(responses.append)
         req = MemoryRequest(line=line, address=0x4000, ip=0x11, core_id=0)

@@ -50,6 +50,25 @@ def test_result_identical_to_pre_refactor_golden(point):
                     f"pre-refactor golden for point {point!r}:\n{diffs}")
 
 
+#: ``engine.events_processed`` of every golden point, recorded when the
+#: pin was added.  Results carry no event count, so only this pin sees
+#: an engine event added or dropped by a change that keeps the results.
+EVENTS_PROCESSED = json.loads(
+    (GOLDEN_DIR.parent / "equivalence_events.json").read_text())
+
+
+def test_event_pin_covers_every_point():
+    assert set(EVENTS_PROCESSED) == set(POINTS)
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_events_processed_pinned(point):
+    config, mix = POINTS[point]()
+    system = MulticoreSystem(config, mix)
+    system.run()
+    assert system.engine.events_processed == EVENTS_PROCESSED[point]
+
+
 def test_results_identical_with_cold_and_warm_trace_memo(monkeypatch):
     """Each point run first against an empty trace cache, which replays
     the branch pre-pass, then against the populated one, which reuses
